@@ -19,10 +19,9 @@
 //! (empty, capacity-less) buffer would hide a pooling regression rather
 //! than a correctness bug.
 
+use crate::hier::DroppedLine;
 use asf_core::detector::ProbeOutcome;
 use asf_core::spec::SpecState;
-use asf_mem::addr::LineAddr;
-use asf_mem::intern::LineId;
 
 /// Pooled scratch buffers for one machine's probe/teardown hot paths.
 #[derive(Debug, Default)]
@@ -33,7 +32,7 @@ pub struct ProbeArena {
     /// order, produced by the read-only pass and consumed by the apply pass.
     verdicts: Vec<(usize, ProbeOutcome)>,
     /// Lines whose residency on a core may have ended during spec teardown.
-    dropped: Vec<(LineAddr, LineId)>,
+    dropped: Vec<DroppedLine>,
     /// Attempts served — bumped per checkin cycle; a cheap liveness signal
     /// for tests and debug dumps.
     generation: u64,
@@ -107,7 +106,7 @@ impl ProbeArena {
 
     /// Check out the dropped-line buffer (cleared).
     #[inline]
-    pub fn checkout_dropped(&mut self) -> Vec<(LineAddr, LineId)> {
+    pub fn checkout_dropped(&mut self) -> Vec<DroppedLine> {
         #[cfg(debug_assertions)]
         {
             assert!(!self.out_dropped, "dropped scratch double-checkout");
@@ -120,7 +119,7 @@ impl ProbeArena {
 
     /// Return the dropped-line buffer, keeping its capacity pooled.
     #[inline]
-    pub fn checkin_dropped(&mut self, v: Vec<(LineAddr, LineId)>) {
+    pub fn checkin_dropped(&mut self, v: Vec<DroppedLine>) {
         #[cfg(debug_assertions)]
         {
             assert!(self.out_dropped, "dropped checkin without checkout");
@@ -157,7 +156,7 @@ mod tests {
         let v = a.checkout_vspec();
         let mut d = a.checkout_dropped();
         let w = a.checkout_verdicts();
-        d.push((Addr(0x40).line(), 1));
+        d.push((Addr(0x40).line(), 1, false));
         a.checkin_dropped(d);
         a.checkin_verdicts(w);
         a.checkin_vspec(v);

@@ -32,6 +32,12 @@ pub struct LineMeta {
     pub spec: SpecState,
 }
 
+/// A line whose residency on a core may have ended during speculative
+/// teardown: `(line, id, left_caches)`. `left_caches` means the teardown
+/// removed the line from every cache level, so only the retained table can
+/// still hold it; otherwise a surviving L2/L3 copy must be checked for too.
+pub type DroppedLine = (LineAddr, LineId, bool);
+
 /// One core's private hierarchy.
 #[derive(Debug)]
 pub struct CoreCaches {
@@ -140,12 +146,9 @@ impl CoreCaches {
     /// Lines whose residency on this core may have *ended* — abort-discarded
     /// write lines and dropped retained entries — are pushed onto `dropped`
     /// so the machine can update its residency index (re-checking
-    /// [`Self::holds`], since a retained line can survive in L2/L3).
-    pub fn clear_spec(
-        &mut self,
-        invalidate_written: bool,
-        dropped: &mut Vec<(LineAddr, LineId)>,
-    ) {
+    /// [`Self::holds`] for a dropped retained entry, whose line can survive
+    /// in L2/L3).
+    pub fn clear_spec(&mut self, invalidate_written: bool, dropped: &mut Vec<DroppedLine>) {
         // Detach the list to appease the borrow checker, but hand the
         // (cleared) buffer back afterwards so its capacity is reused by the
         // next transaction instead of reallocated every commit/abort.
@@ -174,20 +177,20 @@ impl CoreCaches {
         line: LineAddr,
         lid: LineId,
         invalidate_written: bool,
-        dropped: &mut Vec<(LineAddr, LineId)>,
+        dropped: &mut Vec<DroppedLine>,
     ) {
-        if self.retained.remove(&line).is_some() {
-            dropped.push((line, lid));
-        }
+        let had_retained = self.retained.remove(&line).is_some();
+        let mut left_caches = false;
         if let Some(meta) = self.l1.peek_mut(line) {
             let wrote = meta.spec.write_mask.any();
             meta.spec.gang_clear();
             if invalidate_written && wrote {
-                self.l1.remove(line);
-                self.l2.remove(line);
-                self.l3.remove(line);
-                dropped.push((line, lid));
+                self.invalidate_all_levels(line);
+                left_caches = true;
             }
+        }
+        if had_retained || left_caches {
+            dropped.push((line, lid, left_caches));
         }
     }
 
@@ -414,7 +417,7 @@ mod tests {
         assert!(c.retained.is_empty());
         // Both the discarded write line and the dropped retained entry are
         // reported as residency-change candidates, ids attached.
-        assert!(dropped.contains(&(line(3), 3)) && dropped.contains(&(line(7), 7)));
+        assert!(dropped.contains(&(line(3), 3, true)) && dropped.contains(&(line(7), 7, false)));
     }
 
     #[test]
@@ -454,7 +457,7 @@ mod tests {
         let mut dropped = Vec::new();
         c.clear_spec_line(line(4), 4, true, &mut dropped);
         assert!(c.retained.is_empty());
-        assert_eq!(dropped, vec![(line(4), 4)]);
+        assert_eq!(dropped, vec![(line(4), 4, false)]);
         // A line with no state anywhere is a no-op.
         c.clear_spec_line(line(6), 6, true, &mut dropped);
         assert_eq!(dropped.len(), 1);

@@ -70,7 +70,7 @@ pub mod fault;
 pub mod hier;
 pub mod machine;
 pub mod obs;
-pub mod sched;
+mod runq;
 pub mod shard;
 pub mod snapshot;
 pub mod trace;

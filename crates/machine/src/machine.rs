@@ -5,7 +5,7 @@ use crate::error::{CoreReport, ProgressReport, SimError};
 use crate::fault::FaultPlan;
 use crate::hier::{CoreCaches, LineMeta};
 use crate::obs::{Obs, ObsConfig, ObsReport, Phases};
-use crate::sched::CalendarQueue;
+use crate::runq::RunQueue;
 use crate::trace::{RingTrace, TraceEvent, TraceSink};
 use crate::txprog::{ThreadProgram, TxAttempt, TxOp, WorkItem, Workload};
 use crate::value::{GlobalMemory, ReadLog, WriteSet};
@@ -388,6 +388,11 @@ pub struct Machine {
     memory: GlobalMemory,
     stats: RunStats,
     fallback_owner: Option<usize>,
+    /// Bit `v` set iff core `v`'s write set is non-empty: set on every
+    /// transactional store, cleared at publish (commit) and discard
+    /// (abort). The isolation oracle walks only these cores — an empty
+    /// write set can never overlap a read.
+    tx_writers: u64,
     steps: u64,
     trace: Option<RingTrace>,
     /// Streaming timeline sink (Chrome trace, or anything implementing
@@ -425,13 +430,11 @@ pub struct Machine {
     /// Purely an optimisation: broadcast *accounting* still charges all
     /// remote cores, so stats stay bit-identical.
     residency: Vec<u64>,
-    /// Event-ordered run queue: one `(clock, core)` entry per non-`Done`
-    /// core, popped in exactly the `(clock, core_id)` order the old
-    /// linear `min_by_key` scan (and the binary heap that replaced it)
-    /// produced. Valid because a core's clock only ever changes during its
-    /// own turn, and never moves backwards — the calendar queue's
-    /// monotone-push contract.
-    runq: CalendarQueue,
+    /// Event-ordered run queue: one packed `(clock, core)` key per core,
+    /// popped in exactly the `(clock, core_id)` order the old linear
+    /// `min_by_key` scan produced. Valid because a core's clock only ever
+    /// changes during its own turn, which ends by re-keying it.
+    runq: RunQueue,
     /// Global speculative-state directory, struct-of-arrays: bit `v` of
     /// `spec_cores[lid]` iff core `v` holds live-or-retained speculative
     /// state for the line, with its raw byte `(read, write)` masks at
@@ -542,16 +545,14 @@ impl Machine {
             .collect();
         // All cores start at clock 0; ties pop in core-id order, the same
         // order the linear scan used.
-        let mut runq = CalendarQueue::new();
-        for i in 0..n {
-            runq.push(0, i);
-        }
+        let runq = RunQueue::new(n);
         Machine {
             cfg,
             cores,
             memory: GlobalMemory::new(),
             stats: RunStats::default(),
             fallback_owner: None,
+            tx_writers: 0,
             steps: 0,
             trace: None,
             sink: None,
@@ -611,6 +612,15 @@ impl Machine {
             return;
         }
         self.residency[lid as usize] &= !(1 << who);
+    }
+
+    /// `who` just removed `line` from every cache level: only its retained
+    /// table can still hold the line, so that is the whole re-check.
+    #[inline]
+    fn res_drop_unless_retained(&mut self, line: LineAddr, lid: LineId, who: usize) {
+        if !self.cores[who].caches.retained.contains_key(&line) {
+            self.residency[lid as usize] &= !(1 << who);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1125,14 +1135,12 @@ impl Machine {
 
     /// Execute one scheduler step; false when all cores are done.
     ///
-    /// The run queue holds exactly one `(clock, core)` entry per non-`Done`
+    /// The run queue holds exactly one `(clock, core)` key per non-`Done`
     /// core, so popping the minimum reproduces the retired linear scan's
     /// `min_by_key((clock, id))` choice — including its tie-break on the
-    /// smaller core id (see [`crate::sched::CalendarQueue`] for the pop
-    /// order the golden digests pin). The entry's key can never go stale: a
-    /// core's clock changes only during its own turn, the turn ends by
-    /// re-queueing it at the new clock, and clocks never move backwards —
-    /// the queue's monotone-push contract.
+    /// smaller core id, the pop order the golden digests pin. The key can
+    /// never go stale: a core's clock changes only during its own turn, and
+    /// the turn ends by re-keying it at the new clock (or retiring it).
     fn step(&mut self) -> bool {
         let who = match self.runq.pop() {
             Some((clock, who)) => {
@@ -1156,8 +1164,10 @@ impl Machine {
             // Disabled path: one predictable branch, no clock reads.
             self.step_core(who);
         }
-        if !matches!(self.cores[who].state, CoreState::Done) {
-            self.runq.push(self.cores[who].clock, who);
+        if matches!(self.cores[who].state, CoreState::Done) {
+            self.runq.retire(who);
+        } else {
+            self.runq.requeue(who, self.cores[who].clock);
         }
         true
     }
@@ -1369,6 +1379,7 @@ impl Machine {
         let cycle = self.cores[who].clock;
         self.emit(TraceEvent::TxCommit { core: who, cycle });
         self.cores[who].writeset.publish(&mut self.memory);
+        self.tx_writers &= !(1 << who);
         if self.epoch_on {
             self.log_commit_footprint(who, cycle);
         }
@@ -1415,6 +1426,7 @@ impl Machine {
     /// both remote-probe aborts and self-detected aborts).
     fn teardown_tx(&mut self, who: usize) {
         self.cores[who].writeset.discard();
+        self.tx_writers &= !(1 << who);
         self.clear_spec_state(who, true);
     }
 
@@ -1454,8 +1466,12 @@ impl Machine {
         }
         core.read_log.clear();
         core.needs_validation = false;
-        for &(line, lid) in &dropped {
-            self.res_drop_if_absent(line, lid, who);
+        for &(line, lid, left_caches) in &dropped {
+            if left_caches {
+                self.res_drop_unless_retained(line, lid, who);
+            } else {
+                self.res_drop_if_absent(line, lid, who);
+            }
         }
         self.arena.checkin_dropped(dropped);
         self.obs_phase(t0, |ph| ph.teardown);
@@ -1529,6 +1545,7 @@ impl Machine {
                 self.access(who, Access::write(addr, size), transactional)?;
                 if transactional {
                     self.cores[who].writeset.write_u64(addr, size, value);
+                    self.tx_writers |= 1 << who;
                 } else {
                     self.memory.write_u64(addr, size, value);
                 }
@@ -1546,6 +1563,7 @@ impl Machine {
                     self.cores[who]
                         .writeset
                         .write_u64(addr, size, v.wrapping_add(delta));
+                    self.tx_writers |= 1 << who;
                 } else {
                     let v = self.memory.read_u64(addr, size);
                     self.memory.write_u64(addr, size, v.wrapping_add(delta));
@@ -1577,16 +1595,17 @@ impl Machine {
     ///
     /// Under DPTM-style WAR speculation the invariant is intentionally
     /// relaxed (reads may overlap remote writes and validate later), so the
-    /// oracle is disabled in that mode.
+    /// oracle is disabled in that mode. Only cores in `tx_writers` can have
+    /// an overlapping write set; the rest are skipped without a look.
     fn isolation_check(&mut self, who: usize, addr: Addr, size: u32) {
         if self.cfg.war_speculation {
             return;
         }
-        for v in 0..self.cores.len() {
-            if v != who
-                && self.cores[v].in_running_tx()
-                && self.cores[v].writeset.overlaps(addr, size)
-            {
+        let mut writers = self.tx_writers & !(1 << who);
+        while writers != 0 {
+            let v = writers.trailing_zeros() as usize;
+            writers &= writers - 1;
+            if self.cores[v].in_running_tx() && self.cores[v].writeset.overlaps(addr, size) {
                 self.stats.isolation_violations += 1;
             }
         }
@@ -2061,6 +2080,7 @@ impl Machine {
             || (cfg!(debug_assertions) && self.stats.probes.is_multiple_of(64))
         {
             self.crosscheck_residency(line, lid);
+            self.crosscheck_tx_writers();
         }
         // Same fence for the speculative-state directory: a stale column
         // would mis-classify (or miss) a conflict, so divergence fails here.
@@ -2319,7 +2339,7 @@ impl Machine {
                             retained_mask |= 1 << v;
                             obs_saves += 1;
                         }
-                        self.res_drop_if_absent(line, lid, v);
+                        self.res_drop_unless_retained(line, lid, v);
                     }
                 }
             } else {
@@ -2334,7 +2354,7 @@ impl Machine {
                         }
                         self.cores[v].caches.l2.remove(line);
                         self.cores[v].caches.l3.remove(line);
-                        self.res_drop_if_absent(line, lid, v);
+                        self.res_drop_unless_retained(line, lid, v);
                     }
                 }
             }
@@ -2394,6 +2414,20 @@ impl Machine {
                 "residency index diverged for line {:#x} on core {v}: \
                  index says {indexed}, caches say {truth}",
                 line.base().0
+            );
+        }
+    }
+
+    /// Cross-check the isolation oracle's writer mask: bit `v` of
+    /// `tx_writers` must be set exactly when core `v`'s write set is
+    /// non-empty. A missing bit would silence the oracle for that core.
+    fn crosscheck_tx_writers(&self) {
+        for (v, core) in self.cores.iter().enumerate() {
+            let masked = self.tx_writers & (1 << v) != 0;
+            let truth = !core.writeset.is_empty();
+            assert_eq!(
+                masked, truth,
+                "writer mask diverged on core {v}: mask says {masked}, write set says {truth}"
             );
         }
     }

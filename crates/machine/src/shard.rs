@@ -10,7 +10,7 @@
 //! ## Execution model: bulk-synchronous epochs
 //!
 //! Time is cut into fixed-length *coherence epochs* (`epoch_cycles`). Each
-//! epoch, every shard runs its own calendar-queue scheduler up to the epoch
+//! epoch, every shard runs its own packed-key run queue up to the epoch
 //! boundary — completely independently, touching no shared state — and then
 //! the engine resolves cross-shard traffic at a single-threaded barrier:
 //!

@@ -6,27 +6,27 @@
 //! speculatively-accessed lines in L1, and an insertion that would have to
 //! evict a pinned line fails, which the machine turns into a capacity abort.
 //!
-//! Storage is two-level: a `Vec` of per-set way arrays, where each way
-//! array is a small contiguous boxed slice allocated on the set's *first
-//! insertion*. A set probe therefore walks adjacent memory (one pointer hop
-//! from the set table), while construction touches only the pointer table —
-//! the paper machine's 2 MB L3 would otherwise memset ~800 KB of empty way
-//! slots per core per simulation, which dominated short runs. Workloads
-//! touch a tiny fraction of the sets, so the way arrays stay sparse. Set
-//! count and tag shift are cached at construction; the per-access path does
-//! no division.
+//! Storage is struct-of-arrays in pages: each page holds the `tags`, `lru`
+//! and `meta` of `PAGE_SETS` sets' ways as three flat slices, and a
+//! per-set `u32` block number (0 = the set was never touched) says which
+//! page slot a set owns. Construction allocates only the zeroed block
+//! table (8 KB for the paper machine's 2 MB, 2048-set L3). A set gets the
+//! next free block on its first insertion, and the array allocates a new
+//! page when the last one is full, so workloads, which touch a small
+//! fraction of the sets, pay only for what they touch: three allocations
+//! per `PAGE_SETS` sets and no copying. (Flat vectors grown by doubling
+//! made each machine's pages fault in afresh: 23k minor faults over five
+//! paper-grid passes against 1.5k with pages.) A free way holds the
+//! `EMPTY` tag, which no line address can produce, so a probe is one scan
+//! over `ways` adjacent `u64` tags. Set count and tag shift are cached at
+//! construction; the per-access path does no division.
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
 
-/// One resident line.
-#[derive(Clone, Debug)]
-struct Way<M> {
-    tag: u64,
-    meta: M,
-    /// Monotone last-touch stamp; the smallest stamp in a set is the LRU way.
-    lru: u64,
-}
+/// Tag of a free way. Real tags are line addresses shifted right by the set
+/// bits, so they never reach `u64::MAX`.
+const EMPTY: u64 = u64::MAX;
 
 /// Result of a lookup.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -50,15 +50,47 @@ pub struct EvictionInfo<M> {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SetFull;
 
-/// One set's way array, boxed so an untouched set costs one null pointer.
-type SetWays<M> = Box<[Option<Way<M>>]>;
+/// Sets per storage page: a page holds the ways of this many sets and is
+/// allocated whole when the first of them is touched.
+const PAGE_SETS: usize = 32;
+
+/// One page of way storage, struct-of-arrays.
+#[derive(Clone, Debug)]
+struct Page<M> {
+    /// Way tags; `EMPTY` marks a free way.
+    tags: Box<[u64]>,
+    /// Monotone last-touch stamps; the smallest in a set is the LRU way.
+    lru: Box<[u64]>,
+    /// Per-way metadata (`M::default()` in free ways).
+    meta: Box<[M]>,
+}
+
+impl<M: Default> Page<M> {
+    fn new(ways: usize) -> Page<M> {
+        let n = PAGE_SETS * ways;
+        Page {
+            tags: vec![EMPTY; n].into_boxed_slice(),
+            lru: vec![0; n].into_boxed_slice(),
+            meta: (0..n).map(|_| M::default()).collect(),
+        }
+    }
+}
 
 /// A set-associative cache tag array with per-line metadata `M`.
+///
+/// `M: Default` fills the metadata slots of free ways.
 #[derive(Clone, Debug)]
 pub struct CacheArray<M> {
     geom: CacheGeometry,
-    /// Per-set way arrays; `None` until the set's first insertion.
-    sets: Vec<Option<SetWays<M>>>,
+    /// Per-set block number: 0 until the set's first insertion, then `b`,
+    /// whose ways are block `(b - 1) % PAGE_SETS` of page
+    /// `(b - 1) / PAGE_SETS`.
+    block: Vec<u32>,
+    /// Set index owning each block (line-address reconstruction for the
+    /// eviction path and the whole-array walks).
+    owner: Vec<u32>,
+    /// Way storage, one page per `PAGE_SETS` touched sets.
+    pages: Vec<Page<M>>,
     /// Ways per set, cached out of `geom`.
     ways: usize,
     /// `log2(sets)`, cached for line-address reconstruction.
@@ -70,17 +102,21 @@ pub struct CacheArray<M> {
     evictions: u64,
 }
 
-impl<M> CacheArray<M> {
-    /// Create an empty array with the given geometry.
+impl<M: Default> CacheArray<M> {
+    /// Create an empty array with the given geometry. Allocates only the
+    /// zeroed block table; way storage arrives a page at a time.
     pub fn new(geom: CacheGeometry) -> Self {
         let sets = geom.sets();
-        let ways = geom.ways;
-        let mut table = Vec::with_capacity(sets);
-        table.resize_with(sets, || None);
+        assert!(
+            u32::try_from(sets).is_ok(),
+            "set count {sets} exceeds the u32 block table"
+        );
         CacheArray {
             geom,
-            sets: table,
-            ways,
+            block: vec![0; sets],
+            owner: Vec::new(),
+            pages: Vec::new(),
+            ways: geom.ways,
             sets_bits: sets.trailing_zeros(),
             clock: 0,
             fills: 0,
@@ -114,72 +150,77 @@ impl<M> CacheArray<M> {
         (set, line.0 >> self.sets_bits)
     }
 
-    /// The contiguous slice of ways backing one set (empty slice for a
-    /// never-touched set).
+    /// `(page, first way index in the page)` of block number `b`.
     #[inline]
-    fn set_ways(&self, set: usize) -> &[Option<Way<M>>] {
-        self.sets[set].as_deref().unwrap_or(&[])
+    fn block_at(&self, b: usize) -> (usize, usize) {
+        ((b - 1) / PAGE_SETS, (b - 1) % PAGE_SETS * self.ways)
     }
 
-    /// Mutable variant of [`Self::set_ways`]; empty for an untouched set.
+    /// `(page, way index)` of the way holding `line`, if resident.
     #[inline]
-    fn set_ways_mut(&mut self, set: usize) -> &mut [Option<Way<M>>] {
-        self.sets[set].as_deref_mut().unwrap_or(&mut [])
+    fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
+        let (set, tag) = self.slot(line);
+        let b = self.block[set] as usize;
+        if b == 0 {
+            return None;
+        }
+        let (p, base) = self.block_at(b);
+        self.pages[p].tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| (p, base + w))
     }
 
-    /// The set's way array, allocating it on first use.
+    /// Line address of the resident way `i` of page `p`.
     #[inline]
-    fn set_ways_alloc(&mut self, set: usize) -> &mut [Option<Way<M>>] {
-        let ways = self.ways;
-        self.sets[set].get_or_insert_with(|| {
-            let mut v = Vec::with_capacity(ways);
-            v.resize_with(ways, || None);
-            v.into_boxed_slice()
-        })
+    fn line_at(&self, p: usize, i: usize) -> LineAddr {
+        let set = self.owner[p * PAGE_SETS + i / self.ways] as u64;
+        LineAddr((self.pages[p].tags[i] << self.sets_bits) | set)
+    }
+
+    /// `(page, first way index)` of `set`'s block, handing the set the next
+    /// free block (and the array a new page when the last one is full) on
+    /// its first insertion.
+    #[inline]
+    fn block_of(&mut self, set: usize) -> (usize, usize) {
+        let mut b = self.block[set] as usize;
+        if b == 0 {
+            if self.owner.len().is_multiple_of(PAGE_SETS) {
+                self.pages.push(Page::new(self.ways));
+            }
+            self.owner.push(set as u32);
+            b = self.owner.len();
+            self.block[set] = u32::try_from(b).expect("block count fits the u32 table");
+        }
+        self.block_at(b)
     }
 
     /// Is the line resident?
     #[inline]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.peek(line).is_some()
+        self.find(line).is_some()
     }
 
     /// Borrow the metadata of a resident line without touching LRU state.
     #[inline]
     pub fn peek(&self, line: LineAddr) -> Option<&M> {
-        let (set, tag) = self.slot(line);
-        self.set_ways(set)
-            .iter()
-            .flatten()
-            .find(|w| w.tag == tag)
-            .map(|w| &w.meta)
+        self.find(line).map(|(p, i)| &self.pages[p].meta[i])
     }
 
     /// Mutably borrow the metadata of a resident line without touching LRU.
     #[inline]
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut M> {
-        let (set, tag) = self.slot(line);
-        self.set_ways_mut(set)
-            .iter_mut()
-            .flatten()
-            .find(|w| w.tag == tag)
-            .map(|w| &mut w.meta)
+        self.find(line).map(|(p, i)| &mut self.pages[p].meta[i])
     }
 
     /// Borrow the metadata of a resident line and mark it most-recently-used.
     #[inline]
     pub fn get(&mut self, line: LineAddr) -> Option<&mut M> {
         self.clock += 1;
-        let clock = self.clock;
-        let (set, tag) = self.slot(line);
-        self.set_ways_mut(set)
-            .iter_mut()
-            .flatten()
-            .find(|w| w.tag == tag)
-            .map(|w| {
-                w.lru = clock;
-                &mut w.meta
-            })
+        let (p, i) = self.find(line)?;
+        let page = &mut self.pages[p];
+        page.lru[i] = self.clock;
+        Some(&mut page.meta[i])
     }
 
     /// Insert `line` with metadata `meta`, evicting the LRU non-pinned way if
@@ -200,64 +241,66 @@ impl<M> CacheArray<M> {
         self.clock += 1;
         let clock = self.clock;
         let (set, tag) = self.slot(line);
-        let ways = self.set_ways_alloc(set);
+        let (p, base) = self.block_of(set);
+        let ways = base..base + self.ways;
+        let page = &mut self.pages[p];
 
-        // Replace in place on re-insertion.
-        if let Some(w) = ways.iter_mut().flatten().find(|w| w.tag == tag) {
-            w.meta = meta;
-            w.lru = clock;
+        // Replace in place on re-insertion; otherwise take the first free
+        // way. One pass finds both.
+        let mut slot = None;
+        for (i, &t) in page.tags[ways.clone()].iter().enumerate() {
+            if t == tag {
+                slot = Some((base + i, false));
+                break;
+            }
+            if t == EMPTY && slot.is_none() {
+                slot = Some((base + i, true));
+            }
+        }
+        if let Some((i, fill)) = slot {
+            page.tags[i] = tag;
+            page.meta[i] = meta;
+            page.lru[i] = clock;
+            self.fills += u64::from(fill);
             return Ok(None);
         }
 
-        // Free way?
-        if let Some(slot) = ways.iter_mut().find(|w| w.is_none()) {
-            *slot = Some(Way { tag, meta, lru: clock });
-            self.fills += 1;
-            return Ok(None);
+        // Evict the first way with the minimal stamp among non-pinned ways.
+        let mut victim = None;
+        for i in ways {
+            let older = victim.is_none_or(|v: usize| page.lru[i] < page.lru[v]);
+            if older && !is_pinned(&page.meta[i]) {
+                victim = Some(i);
+            }
         }
-
-        // Evict LRU among non-pinned ways (first-minimal on ties, matching
-        // the pre-flattening scan order exactly).
-        let victim_idx = ways
-            .iter()
-            .enumerate()
-            .filter_map(|(i, w)| {
-                let w = w.as_ref().expect("set scanned as full");
-                if is_pinned(&w.meta) {
-                    None
-                } else {
-                    Some((i, w.lru))
-                }
-            })
-            .min_by_key(|&(_, lru)| lru)
-            .map(|(i, _)| i)
-            .ok_or(SetFull)?;
-
-        let old = ways[victim_idx]
-            .replace(Way { tag, meta, lru: clock })
-            .expect("victim way was occupied");
+        let i = victim.ok_or(SetFull)?;
+        let evicted = self.line_at(p, i);
+        let page = &mut self.pages[p];
+        page.tags[i] = tag;
+        page.lru[i] = clock;
+        let old = std::mem::replace(&mut page.meta[i], meta);
         self.fills += 1;
         self.evictions += 1;
         Ok(Some(EvictionInfo {
-            line: LineAddr((old.tag << self.sets_bits) | set as u64),
-            meta: old.meta,
+            line: evicted,
+            meta: old,
         }))
     }
 
     /// Remove a line, returning its metadata.
     pub fn remove(&mut self, line: LineAddr) -> Option<M> {
-        let (set, tag) = self.slot(line);
-        for w in self.set_ways_mut(set).iter_mut() {
-            if matches!(w, Some(way) if way.tag == tag) {
-                return w.take().map(|way| way.meta);
-            }
-        }
-        None
+        let (p, i) = self.find(line)?;
+        let page = &mut self.pages[p];
+        page.tags[i] = EMPTY;
+        Some(std::mem::take(&mut page.meta[i]))
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().flatten().flat_map(|ws| ws.iter()).flatten().count()
+        self.pages
+            .iter()
+            .map(|pg| pg.tags.iter().filter(|&&t| t != EMPTY).count())
+            .sum()
     }
 
     /// True when no line is resident.
@@ -267,33 +310,38 @@ impl<M> CacheArray<M> {
 
     /// Iterate over `(line, &meta)` for every resident line.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &M)> {
-        let sets_bits = self.sets_bits;
-        self.sets.iter().enumerate().flat_map(move |(s, ws)| {
-            ws.iter().flat_map(|ws| ws.iter()).flatten().map(move |w| {
-                (LineAddr((w.tag << sets_bits) | s as u64), &w.meta)
-            })
+        self.pages.iter().enumerate().flat_map(move |(p, pg)| {
+            (0..pg.tags.len())
+                .filter(move |&i| pg.tags[i] != EMPTY)
+                .map(move |i| (self.line_at(p, i), &pg.meta[i]))
         })
     }
 
     /// Iterate mutably over `(line, &mut meta)` for every resident line.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (LineAddr, &mut M)> {
-        let sets_bits = self.sets_bits;
-        self.sets.iter_mut().enumerate().flat_map(move |(s, ws)| {
-            ws.iter_mut().flat_map(|ws| ws.iter_mut()).flatten().map(move |w| {
-                (LineAddr((w.tag << sets_bits) | s as u64), &mut w.meta)
-            })
+        let (ways, sets_bits, owner) = (self.ways, self.sets_bits, &self.owner);
+        self.pages.iter_mut().enumerate().flat_map(move |(p, pg)| {
+            pg.tags
+                .iter()
+                .zip(pg.meta.iter_mut())
+                .enumerate()
+                .filter_map(move |(i, (&tag, m))| {
+                    let set = owner[p * PAGE_SETS + i / ways] as u64;
+                    (tag != EMPTY).then(|| (LineAddr((tag << sets_bits) | set), m))
+                })
         })
     }
 
     /// Drop every line for which `pred` returns false.
     pub fn retain(&mut self, mut pred: impl FnMut(LineAddr, &mut M) -> bool) {
-        let sets_bits = self.sets_bits;
-        for (s, ws) in self.sets.iter_mut().enumerate() {
-            for w in ws.iter_mut().flat_map(|ws| ws.iter_mut()) {
-                if let Some(way) = w {
-                    let line = LineAddr((way.tag << sets_bits) | s as u64);
-                    if !pred(line, &mut way.meta) {
-                        *w = None;
+        for p in 0..self.pages.len() {
+            for i in 0..self.pages[p].tags.len() {
+                if self.pages[p].tags[i] != EMPTY {
+                    let line = self.line_at(p, i);
+                    let page = &mut self.pages[p];
+                    if !pred(line, &mut page.meta[i]) {
+                        page.tags[i] = EMPTY;
+                        page.meta[i] = M::default();
                     }
                 }
             }
@@ -429,5 +477,31 @@ mod tests {
         c.insert(line(4), 40, |_| false).unwrap().unwrap();
         assert!(c.contains(line(1)) && c.contains(line(3)));
         assert_eq!(c.len(), 4);
+    }
+
+    #[test]
+    fn paper_l3_allocates_no_ways_until_first_insert() {
+        // The paper machine's 2 MB 16-way L3.
+        let mut c: CacheArray<()> = CacheArray::new(CacheGeometry::new(2 * 1024 * 1024, 16));
+        assert_eq!(c.block.len(), 2048);
+        assert!(c.block.iter().all(|&b| b == 0));
+        assert_eq!(
+            (c.pages.capacity(), c.owner.capacity()),
+            (0, 0),
+            "construction must not allocate way storage"
+        );
+        assert!(c.is_empty() && !c.contains(line(5)));
+        c.insert(line(5), (), |_| false).unwrap();
+        assert_eq!(
+            (c.pages.len(), c.owner.len()),
+            (1, 1),
+            "one page, one block for the one touched set"
+        );
+        // A second line in the same set reuses the block; another set
+        // takes the next block of the same page.
+        c.insert(line(5 + 2048), (), |_| false).unwrap();
+        c.insert(line(6), (), |_| false).unwrap();
+        assert_eq!((c.pages.len(), c.owner.len()), (1, 2));
+        assert_eq!(c.len(), 3);
     }
 }

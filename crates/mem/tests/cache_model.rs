@@ -107,9 +107,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn cache_array_matches_reference_model(ops in prop::collection::vec(arb_op(), 1..200)) {
-        // 4 sets × 2 ways keeps sets crowded.
-        let geom = CacheGeometry::new(4 * 2 * 64, 2);
+    fn cache_array_matches_reference_model(
+        sets in prop::sample::select(vec![4usize, 64]),
+        ops in prop::collection::vec(arb_op(), 1..200),
+    ) {
+        // 4 sets × 2 ways keeps sets crowded; 64 sets spread the lines over
+        // more than one storage page.
+        let geom = CacheGeometry::new(sets * 2 * 64, 2);
         let mut real: CacheArray<u32> = CacheArray::new(geom);
         let mut model = Model::new(geom);
         for op in ops {
@@ -140,10 +144,128 @@ proptest! {
             }
             prop_assert_eq!(real.len(), model.len());
         }
-        // Final contents agree.
+        // Final contents agree, looked up and walked.
+        let mut want = vec![];
         for n in 0u16..=255 {
             let l = line(n as u8);
             prop_assert_eq!(real.peek(l).copied(), model.peek(l));
+            want.extend(model.peek(l).map(|m| (l, m)));
+        }
+        let mut got: Vec<_> = real.iter().map(|(l, &m)| (l, m)).collect();
+        got.sort();
+        prop_assert_eq!(got, want);
+    }
+}
+
+/// Run one op against both implementations, failing on any divergence.
+fn step(real: &mut CacheArray<u32>, model: &mut Model, op: &Op) -> Result<(), TestCaseError> {
+    match *op {
+        Op::Get(l) => prop_assert_eq!(real.get(line(l)).map(|m| *m), model.get(line(l))),
+        Op::Peek(l) => prop_assert_eq!(real.peek(line(l)).copied(), model.peek(line(l))),
+        Op::Insert(l, m) => {
+            let a = real
+                .insert(line(l), m, |&meta| meta >= PIN)
+                .map(|ev| ev.map(|e| e.line));
+            let b = model.insert(line(l), m, PIN);
+            prop_assert_eq!(a.ok(), b.ok(), "insert({}, {})", l, m);
+        }
+        Op::Remove(l) => prop_assert_eq!(real.remove(line(l)), model.remove(line(l))),
+    }
+    prop_assert_eq!(real.len(), model.len());
+    Ok(())
+}
+
+/// One set of four ways: every line collides, so removals free ways that
+/// the next insertions must reuse, and pinned metas fill the set.
+fn one_set() -> CacheGeometry {
+    CacheGeometry::new(4 * 64, 4)
+}
+
+#[test]
+fn removed_way_is_reused_before_any_eviction() {
+    let mut real: CacheArray<u32> = CacheArray::new(one_set());
+    let mut model = Model::new(one_set());
+    let mut ops: Vec<Op> = (0..4).map(|l| Op::Insert(l, l as u32)).collect();
+    ops.extend([
+        // Free a middle way: the next insert takes it and evicts nothing.
+        Op::Remove(1),
+        Op::Insert(9, 9),
+        Op::Peek(9),
+        // Full again: the LRU resident line (0) is the victim, not line 9.
+        Op::Insert(10, 10),
+        Op::Peek(0),
+        // Re-inserting a removed line is a fresh fill, not a stale hit.
+        Op::Remove(2),
+        Op::Peek(2),
+        Op::Insert(2, 22),
+        Op::Get(2),
+        Op::Insert(11, 11),
+        Op::Peek(3),
+    ]);
+    for op in &ops {
+        step(&mut real, &mut model, op).unwrap();
+    }
+    assert_eq!(real.fills(), 8);
+    assert_eq!(real.evictions(), 2);
+}
+
+#[test]
+fn pinned_set_is_full_until_a_way_is_freed() {
+    let mut real: CacheArray<u32> = CacheArray::new(one_set());
+    let mut model = Model::new(one_set());
+    let mut ops: Vec<Op> = (0..4).map(|l| Op::Insert(l, PIN + l as u32)).collect();
+    ops.extend([
+        // Every way pinned: SetFull, and the set is left as it was.
+        Op::Insert(7, 1),
+        Op::Peek(7),
+        Op::Peek(0),
+        // Unpinning line 2 in place makes it the only victim.
+        Op::Insert(2, 5),
+        Op::Insert(7, 1),
+        Op::Peek(2),
+        // Pinned again; removing one frees a way for the next insert.
+        Op::Insert(7, PIN),
+        Op::Insert(8, 1),
+        Op::Remove(0),
+        Op::Insert(8, 1),
+        Op::Peek(8),
+        Op::Insert(8, PIN),
+    ]);
+    for op in &ops {
+        step(&mut real, &mut model, op).unwrap();
+    }
+    assert_eq!(
+        real.insert(line(9), 0, |&m| m >= PIN),
+        Err(asf_mem::cache::SetFull)
+    );
+}
+
+fn arb_churn_op() -> impl Strategy<Value = Op> {
+    // Twelve lines over four ways, removals as common as insertions, and
+    // half the inserted metas pinned.
+    prop_oneof![
+        (0u8..12).prop_map(Op::Get),
+        (0u8..12).prop_map(Op::Remove),
+        (0u8..12).prop_map(Op::Remove),
+        (0u8..12, 0u32..2 * PIN).prop_map(|(l, m)| Op::Insert(l, m)),
+        (0u8..12, 0u32..2 * PIN).prop_map(|(l, m)| Op::Insert(l, m)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn single_set_churn_matches_reference_model(
+        ops in prop::collection::vec(arb_churn_op(), 1..300)
+    ) {
+        let mut real: CacheArray<u32> = CacheArray::new(one_set());
+        let mut model = Model::new(one_set());
+        for op in &ops {
+            step(&mut real, &mut model, op)?;
+        }
+        for l in 0u8..12 {
+            prop_assert_eq!(real.peek(line(l)).copied(), model.peek(line(l)));
         }
     }
 }
