@@ -1,10 +1,10 @@
 //! Micro-benchmarks of the hot paths: the detector's probe check (executed
 //! on every coherence probe against every speculative line), mask
-//! coarsening, the set-associative tag array, and the deterministic RNG.
+//! coarsening, the line-id-keyed cache level, and the deterministic RNG.
 
 use asf_core::detector::{DetectorKind, ProbeKind};
 use asf_core::spec::SpecState;
-use asf_mem::addr::{Addr, LineAddr};
+use asf_mem::addr::Addr;
 use asf_mem::cache::CacheArray;
 use asf_mem::geometry::CacheGeometry;
 use asf_mem::mask::AccessMask;
@@ -78,23 +78,23 @@ fn bench_cache_array(c: &mut Criterion) {
     g.bench_function("insert_evict_1k", |b| {
         b.iter(|| {
             let mut arr: CacheArray<u32> = CacheArray::new(geom);
-            for i in 0..1024u64 {
-                let line = Addr(i * 64 * 7).line(); // stride to mix sets
-                let _ = arr.insert(black_box(line), i as u32, |_| false);
+            for i in 0..1024u32 {
+                let line = Addr(i as u64 * 64 * 7).line(); // stride to mix sets
+                let _ = arr.insert(black_box(i), line, i, |_| false);
             }
             black_box(arr.len())
         })
     });
     g.bench_function("lookup_hit", |b| {
         let mut arr: CacheArray<u32> = CacheArray::new(geom);
-        let lines: Vec<LineAddr> = (0..512u64).map(|i| Addr(i * 64).line()).collect();
-        for (i, &l) in lines.iter().enumerate() {
-            let _ = arr.insert(l, i as u32, |_| false);
+        let ids: Vec<u32> = (0..512).collect();
+        for &i in &ids {
+            let _ = arr.insert(i, Addr(i as u64 * 64).line(), i, |_| false);
         }
         b.iter(|| {
             let mut sum = 0u64;
-            for &l in &lines {
-                if let Some(&v) = arr.peek(black_box(l)) {
+            for &i in &ids {
+                if let Some(&v) = arr.peek(black_box(i)) {
                     sum += v as u64;
                 }
             }

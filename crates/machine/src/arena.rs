@@ -132,7 +132,6 @@ impl ProbeArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asf_mem::addr::Addr;
 
     #[test]
     fn checkout_checkin_pools_capacity() {
@@ -156,7 +155,7 @@ mod tests {
         let v = a.checkout_vspec();
         let mut d = a.checkout_dropped();
         let w = a.checkout_verdicts();
-        d.push((Addr(0x40).line(), 1, false));
+        d.push((1, false));
         a.checkin_dropped(d);
         a.checkin_verdicts(w);
         a.checkin_vspec(v);

@@ -33,12 +33,13 @@ pub struct LineMeta {
 }
 
 /// A line whose residency on a core may have ended during speculative
-/// teardown: `(line, id, left_caches)`. `left_caches` means the teardown
-/// removed the line from every cache level, so only the retained table can
-/// still hold it; otherwise a surviving L2/L3 copy must be checked for too.
-pub type DroppedLine = (LineAddr, LineId, bool);
+/// teardown: `(id, left_caches)`. `left_caches` means the teardown removed
+/// the line from every cache level, so only the retained table can still
+/// hold it; otherwise a surviving L2/L3 copy must be checked for too.
+pub type DroppedLine = (LineId, bool);
 
-/// One core's private hierarchy.
+/// One core's private hierarchy, every part keyed by the machine's
+/// interned line id.
 #[derive(Debug)]
 pub struct CoreCaches {
     /// L1 data cache with speculative metadata.
@@ -51,12 +52,10 @@ pub struct CoreCaches {
     /// writes (false WAR survivals): the paper keeps it "inside the
     /// invalidated cache line"; we keep it beside the cache. Checked by
     /// every incoming probe and folded back on refetch.
-    pub retained: FxHashMap<LineAddr, SpecState>,
+    pub retained: FxHashMap<LineId, SpecState>,
     /// Lines currently carrying speculative state (live or retained) —
     /// cleared in O(set size) at commit/abort instead of scanning the L1.
-    /// Each entry carries the line's interned id so teardown can index the
-    /// machine's dense spec directory without a map lookup.
-    pub spec_lines: Vec<(LineAddr, LineId)>,
+    pub spec_lines: Vec<LineId>,
 }
 
 impl CoreCaches {
@@ -71,7 +70,7 @@ impl CoreCaches {
         }
     }
 
-    /// Record that `line` now carries speculative state.
+    /// Record that the line now carries speculative state.
     ///
     /// The caller must guarantee the line is not already tracked — the
     /// machine pushes exactly once, on a line's empty→speculative
@@ -79,91 +78,67 @@ impl CoreCaches {
     /// made large write sets quadratic). `debug_assert` keeps the contract
     /// honest in debug builds.
     #[inline]
-    pub fn note_spec_line(&mut self, line: LineAddr, lid: LineId) {
-        debug_assert!(
-            !self.spec_lines.iter().any(|&(l, _)| l == line),
-            "spec line {line:?} noted twice"
-        );
-        self.spec_lines.push((line, lid));
+    pub fn note_spec_line(&mut self, lid: LineId) {
+        debug_assert!(!self.spec_lines.contains(&lid), "spec line {lid} noted twice");
+        self.spec_lines.push(lid);
     }
 
-    /// Where would a fill for `line` be satisfied locally (L2/L3), if at
+    /// Where would a fill for the line be satisfied locally (L2/L3), if at
     /// all? (L1 was already checked and missed; remote supply is decided by
     /// the fabric.)
-    pub fn local_fill_level(&self, line: LineAddr) -> Option<AccessLevel> {
-        if self.l2.contains(line) {
+    pub fn local_fill_level(&self, lid: LineId) -> Option<AccessLevel> {
+        if self.l2.contains(lid) {
             Some(AccessLevel::L2)
-        } else if self.l3.contains(line) {
+        } else if self.l3.contains(lid) {
             Some(AccessLevel::L3)
         } else {
             None
         }
     }
 
-    /// Does this core hold `line` anywhere — any cache level or the
+    /// Does this core hold the line anywhere — any cache level or the
     /// retained-metadata table? This is the ground truth the machine's
     /// residency index mirrors.
     #[inline]
-    pub fn holds(&self, line: LineAddr) -> bool {
-        self.l1.contains(line)
-            || self.l2.contains(line)
-            || self.l3.contains(line)
-            || self.retained.contains_key(&line)
+    pub fn holds(&self, lid: LineId) -> bool {
+        self.l1.contains(lid)
+            || self.l2.contains(lid)
+            || self.l3.contains(lid)
+            || self.retained.contains_key(&lid)
     }
 
-    /// Install `line` into L2 and L3 on a fill from below (timing model
-    /// only). Evictions there used to be silent; they are now reported so
-    /// the machine's residency index can drop cores that no longer hold the
-    /// evicted lines anywhere.
-    pub fn fill_outer(&mut self, line: LineAddr) -> (Option<LineAddr>, Option<LineAddr>) {
+    /// Install the line into L2 and L3 on a fill from below (timing model
+    /// only). Evictions there are reported by line id so the machine's
+    /// residency index can drop cores that no longer hold the evicted
+    /// lines anywhere.
+    pub fn fill_outer(&mut self, lid: LineId, line: LineAddr) -> (Option<LineId>, Option<LineId>) {
         let e2 = self
             .l2
-            .insert(line, (), |_| false)
+            .insert(lid, line, (), |_| false)
             .expect("unpinned L2 insert cannot fail")
-            .map(|e| e.line);
+            .map(|e| e.lid);
         let e3 = self
             .l3
-            .insert(line, (), |_| false)
+            .insert(lid, line, (), |_| false)
             .expect("unpinned L3 insert cannot fail")
-            .map(|e| e.line);
+            .map(|e| e.lid);
         (e2, e3)
     }
 
-    /// Invalidate every level's copy of `line` (remote write probe).
-    pub fn invalidate_all_levels(&mut self, line: LineAddr) -> Option<LineMeta> {
-        let m = self.l1.remove(line);
-        self.l2.remove(line);
-        self.l3.remove(line);
+    /// Invalidate every level's copy of the line (remote write probe).
+    pub fn invalidate_all_levels(&mut self, lid: LineId) -> Option<LineMeta> {
+        let m = self.l1.remove(lid);
+        self.l2.remove(lid);
+        self.l3.remove(lid);
         m
     }
 
-    /// Clear all speculative state (commit or abort).
-    ///
-    /// `invalidate_written` — on abort, lines the transaction speculatively
-    /// wrote are discarded from the L1 (their hardware data would be the
-    /// speculative values); on commit they stay (now-committed data).
-    ///
-    /// Lines whose residency on this core may have *ended* — abort-discarded
-    /// write lines and dropped retained entries — are pushed onto `dropped`
-    /// so the machine can update its residency index (re-checking
-    /// [`Self::holds`] for a dropped retained entry, whose line can survive
-    /// in L2/L3).
-    pub fn clear_spec(&mut self, invalidate_written: bool, dropped: &mut Vec<DroppedLine>) {
-        // Detach the list to appease the borrow checker, but hand the
-        // (cleared) buffer back afterwards so its capacity is reused by the
-        // next transaction instead of reallocated every commit/abort.
-        let mut lines = std::mem::take(&mut self.spec_lines);
-        for &(line, lid) in &lines {
-            self.clear_spec_line(line, lid, invalidate_written, dropped);
-        }
-        lines.clear();
-        self.spec_lines = lines;
-        // Every retained entry's line was noted when the state was created,
-        // so the per-line walk above already drained the table.
-        debug_assert!(
-            self.retained.is_empty(),
-            "retained entries must all be tracked spec lines"
-        );
+    /// Self-consistency check of all three levels
+    /// ([`CacheArray::check`]).
+    pub fn check(&self) -> Result<(), String> {
+        self.l1.check().map_err(|e| format!("L1: {e}"))?;
+        self.l2.check().map_err(|e| format!("L2: {e}"))?;
+        self.l3.check().map_err(|e| format!("L3: {e}"))
     }
 
     /// Clear one line's speculative state: the live L1 record and any
@@ -171,32 +146,33 @@ impl CoreCaches {
     /// spec-line list so the machine can retire its spec-directory column in
     /// the same walk; the retained table is drained per-line (never
     /// `clear()`ed), which keeps its capacity pooled across attempts.
+    ///
+    /// `invalidate_written` — on abort, a line the transaction
+    /// speculatively wrote is discarded from every level (its hardware data
+    /// would be the speculative values); on commit it stays. If the line's
+    /// residency on this core may have *ended* — discarded, or a dropped
+    /// retained entry — it is pushed onto `dropped` so the machine can
+    /// update its residency index.
     #[inline]
     pub fn clear_spec_line(
         &mut self,
-        line: LineAddr,
         lid: LineId,
         invalidate_written: bool,
         dropped: &mut Vec<DroppedLine>,
     ) {
-        let had_retained = self.retained.remove(&line).is_some();
+        let had_retained = self.retained.remove(&lid).is_some();
         let mut left_caches = false;
-        if let Some(meta) = self.l1.peek_mut(line) {
+        if let Some(meta) = self.l1.peek_mut(lid) {
             let wrote = meta.spec.write_mask.any();
             meta.spec.gang_clear();
             if invalidate_written && wrote {
-                self.invalidate_all_levels(line);
+                self.invalidate_all_levels(lid);
                 left_caches = true;
             }
         }
         if had_retained || left_caches {
-            dropped.push((line, lid, left_caches));
+            dropped.push((lid, left_caches));
         }
-    }
-
-    /// Total speculative lines currently tracked (live + retained).
-    pub fn spec_footprint(&self) -> usize {
-        self.spec_lines.len()
     }
 }
 
@@ -354,30 +330,43 @@ mod tests {
         Addr(n * 64).line()
     }
 
+    /// Line `n`'s id: the tests intern line `n` as id `n`.
+    fn id(n: u64) -> LineId {
+        n as LineId
+    }
+
     fn caches() -> CoreCaches {
         CoreCaches::new(&MachineConfig::tiny_l1(1))
+    }
+
+    /// Tear down every tracked spec line, as the machine's commit/abort
+    /// walk does.
+    fn clear_spec(c: &mut CoreCaches, invalidate_written: bool, dropped: &mut Vec<DroppedLine>) {
+        for lid in std::mem::take(&mut c.spec_lines) {
+            c.clear_spec_line(lid, invalidate_written, dropped);
+        }
+        assert!(c.retained.is_empty(), "retained entries must all be tracked spec lines");
     }
 
     #[test]
     fn fill_levels() {
         let mut c = caches();
-        assert_eq!(c.local_fill_level(line(1)), None);
-        c.fill_outer(line(1));
-        assert_eq!(c.local_fill_level(line(1)), Some(AccessLevel::L2));
-        c.l2.remove(line(1));
-        assert_eq!(c.local_fill_level(line(1)), Some(AccessLevel::L3));
+        assert_eq!(c.local_fill_level(id(1)), None);
+        c.fill_outer(id(1), line(1));
+        assert_eq!(c.local_fill_level(id(1)), Some(AccessLevel::L2));
+        c.l2.remove(id(1));
+        assert_eq!(c.local_fill_level(id(1)), Some(AccessLevel::L3));
     }
 
     #[test]
     fn invalidate_all_levels_removes_everywhere() {
         let mut c = caches();
-        c.fill_outer(line(2));
-        c.l1.insert(line(2), LineMeta::default(), |_| false).unwrap();
-        let m = c.invalidate_all_levels(line(2));
+        c.fill_outer(id(2), line(2));
+        c.l1.insert(id(2), line(2), LineMeta::default(), |_| false).unwrap();
+        let m = c.invalidate_all_levels(id(2));
         assert!(m.is_some());
-        assert!(!c.l1.contains(line(2)));
-        assert!(!c.l2.contains(line(2)));
-        assert!(!c.l3.contains(line(2)));
+        assert!(!c.holds(id(2)));
+        c.check().unwrap();
     }
 
     #[test]
@@ -386,13 +375,12 @@ mod tests {
         let mut meta = LineMeta::default();
         meta.spec.mark_write(AccessMask::from_range(0, 8));
         meta.moesi = MoesiState::Modified;
-        c.l1.insert(line(3), meta, |_| false).unwrap();
-        c.note_spec_line(line(3), 3);
-        c.clear_spec(false, &mut Vec::new()); // commit
-        let m = c.l1.peek(line(3)).unwrap();
+        c.l1.insert(id(3), line(3), meta, |_| false).unwrap();
+        c.note_spec_line(id(3));
+        clear_spec(&mut c, false, &mut Vec::new()); // commit
+        let m = c.l1.peek(id(3)).unwrap();
         assert!(m.spec.is_empty());
-        assert!(c.l1.contains(line(3)));
-        assert_eq!(c.spec_footprint(), 0);
+        assert!(c.l1.contains(id(3)));
     }
 
     #[test]
@@ -400,37 +388,37 @@ mod tests {
         let mut c = caches();
         let mut wmeta = LineMeta::default();
         wmeta.spec.mark_write(AccessMask::from_range(0, 8));
-        c.l1.insert(line(3), wmeta, |_| false).unwrap();
-        c.note_spec_line(line(3), 3);
+        c.l1.insert(id(3), line(3), wmeta, |_| false).unwrap();
+        c.note_spec_line(id(3));
         let mut rmeta = LineMeta::default();
         rmeta.spec.mark_read(AccessMask::from_range(0, 8));
-        c.l1.insert(line(5), rmeta, |_| false).unwrap();
-        c.note_spec_line(line(5), 5);
+        c.l1.insert(id(5), line(5), rmeta, |_| false).unwrap();
+        c.note_spec_line(id(5));
         // Retained entries are tracked spec lines too (machine invariant).
-        c.retained.insert(line(7), SpecState::EMPTY);
-        c.note_spec_line(line(7), 7);
+        c.retained.insert(id(7), SpecState::EMPTY);
+        c.note_spec_line(id(7));
         let mut dropped = Vec::new();
-        c.clear_spec(true, &mut dropped); // abort
-        assert!(!c.l1.contains(line(3)), "spec-written line invalidated");
-        assert!(c.l1.contains(line(5)), "spec-read line survives");
-        assert!(c.l1.peek(line(5)).unwrap().spec.is_empty());
+        clear_spec(&mut c, true, &mut dropped); // abort
+        assert!(!c.l1.contains(id(3)), "spec-written line invalidated");
+        assert!(c.l1.contains(id(5)), "spec-read line survives");
+        assert!(c.l1.peek(id(5)).unwrap().spec.is_empty());
         assert!(c.retained.is_empty());
         // Both the discarded write line and the dropped retained entry are
         // reported as residency-change candidates, ids attached.
-        assert!(dropped.contains(&(line(3), 3, true)) && dropped.contains(&(line(7), 7, false)));
+        assert!(dropped.contains(&(id(3), true)) && dropped.contains(&(id(7), false)));
     }
 
     #[test]
     fn holds_sees_every_level_and_retained() {
         let mut c = caches();
-        assert!(!c.holds(line(9)));
-        c.fill_outer(line(9));
-        assert!(c.holds(line(9)), "L2/L3 residency counts");
-        c.l2.remove(line(9));
-        c.l3.remove(line(9));
-        assert!(!c.holds(line(9)));
-        c.retained.insert(line(9), SpecState::EMPTY);
-        assert!(c.holds(line(9)), "retained metadata counts");
+        assert!(!c.holds(id(9)));
+        c.fill_outer(id(9), line(9));
+        assert!(c.holds(id(9)), "L2/L3 residency counts");
+        c.l2.remove(id(9));
+        c.l3.remove(id(9));
+        assert!(!c.holds(id(9)));
+        c.retained.insert(id(9), SpecState::EMPTY);
+        assert!(c.holds(id(9)), "retained metadata counts");
     }
 
     #[test]
@@ -440,7 +428,7 @@ mod tests {
         // out and check the eviction is surfaced, not silent.
         let mut evicted = None;
         for n in 0..4096 {
-            let (e2, e3) = c.fill_outer(line(n));
+            let (e2, e3) = c.fill_outer(id(n), line(n));
             if e2.is_some() || e3.is_some() {
                 evicted = e2.or(e3);
                 break;
@@ -448,18 +436,19 @@ mod tests {
         }
         let ev = evicted.expect("outer levels must evict eventually");
         assert!(!c.l2.contains(ev) || !c.l3.contains(ev));
+        c.check().unwrap();
     }
 
     #[test]
     fn clear_spec_line_drains_retained_per_line() {
         let mut c = caches();
-        c.retained.insert(line(4), SpecState::EMPTY);
+        c.retained.insert(id(4), SpecState::EMPTY);
         let mut dropped = Vec::new();
-        c.clear_spec_line(line(4), 4, true, &mut dropped);
+        c.clear_spec_line(id(4), true, &mut dropped);
         assert!(c.retained.is_empty());
-        assert_eq!(dropped, vec![(line(4), 4, false)]);
+        assert_eq!(dropped, vec![(id(4), false)]);
         // A line with no state anywhere is a no-op.
-        c.clear_spec_line(line(6), 6, true, &mut dropped);
+        c.clear_spec_line(id(6), true, &mut dropped);
         assert_eq!(dropped.len(), 1);
     }
 
@@ -468,8 +457,8 @@ mod tests {
     #[should_panic(expected = "noted twice")]
     fn note_spec_line_rejects_duplicates() {
         let mut c = caches();
-        c.note_spec_line(line(1), 1);
-        c.note_spec_line(line(1), 1);
+        c.note_spec_line(id(1));
+        c.note_spec_line(id(1));
     }
 
     #[test]

@@ -166,11 +166,12 @@ pub struct SimConfig {
     /// must be identical either way (the index only skips provably-empty
     /// cache walks); equivalence tests flip this to prove it.
     pub exhaustive_probe_walk: bool,
-    /// Cross-check the residency index against a full walk of every core's
-    /// caches on *every* probe (instead of the periodic debug-build
-    /// sampling). Slow; meant for the property/soak suites, where a stale
-    /// or leaked index entry should fail loudly rather than silently skip a
-    /// conflict check.
+    /// Cross-check the residency index and the writer masks against every
+    /// core's caches and write sets on *every* probe (instead of the
+    /// periodic debug-build sampling), and run the requester's cache-level
+    /// self-consistency check. Slow; meant for the property/soak suites,
+    /// where a stale or leaked index entry should fail loudly rather than
+    /// silently skip a conflict check.
     pub verify_residency: bool,
     /// Disable the speculative-state directory for conflict *resolution*
     /// and walk each candidate victim's L1 + retained table per probe, as
@@ -321,6 +322,11 @@ impl Core {
     }
 }
 
+/// Line ids of an access's fragments, `(first, last)`: equal when the
+/// access fits in one line. Accesses are at most a line long (the write
+/// set's head/tail split assumes the same), so these are all its lines.
+type Frags = (LineId, LineId);
+
 /// Result of broadcasting one probe.
 #[derive(Debug, Default, Clone, Copy)]
 struct ProbeSummary {
@@ -388,11 +394,6 @@ pub struct Machine {
     memory: GlobalMemory,
     stats: RunStats,
     fallback_owner: Option<usize>,
-    /// Bit `v` set iff core `v`'s write set is non-empty: set on every
-    /// transactional store, cleared at publish (commit) and discard
-    /// (abort). The isolation oracle walks only these cores — an empty
-    /// write set can never overlap a read.
-    tx_writers: u64,
     steps: u64,
     trace: Option<RingTrace>,
     /// Streaming timeline sink (Chrome trace, or anything implementing
@@ -430,6 +431,13 @@ pub struct Machine {
     /// Purely an optimisation: broadcast *accounting* still charges all
     /// remote cores, so stats stay bit-identical.
     residency: Vec<u64>,
+    /// Writer mask, indexed by line id: bit `v` is set iff core `v`'s
+    /// running attempt holds buffered write-set bytes in the line. Set on
+    /// every transactional store, cleared in the commit/abort teardown walk
+    /// over the spec-line list (which covers every written line). The
+    /// isolation oracle visits only the cores in the read's lines' masks —
+    /// no other write set can overlap the read.
+    writers: Vec<u64>,
     /// Event-ordered run queue: one packed `(clock, core)` key per core,
     /// popped in exactly the `(clock, core_id)` order the old linear
     /// `min_by_key` scan produced. Valid because a core's clock only ever
@@ -552,7 +560,6 @@ impl Machine {
             memory: GlobalMemory::new(),
             stats: RunStats::default(),
             fallback_owner: None,
-            tx_writers: 0,
             steps: 0,
             trace: None,
             sink: None,
@@ -562,6 +569,7 @@ impl Machine {
             line_heat: Vec::new(),
             directory: Vec::new(),
             residency: Vec::new(),
+            writers: Vec::new(),
             runq,
             spec_cores: Vec::new(),
             spec_masks: Vec::new(),
@@ -586,6 +594,7 @@ impl Machine {
             self.line_heat.push(0);
             self.directory.push(0);
             self.residency.push(0);
+            self.writers.push(0);
             self.spec_cores.push(0);
             self.spec_masks
                 .resize(self.spec_masks.len() + self.cores.len(), (0, 0));
@@ -603,22 +612,22 @@ impl Machine {
         self.residency[lid as usize] |= 1 << who;
     }
 
-    /// `who` may have stopped holding `line`: re-check the ground truth and
-    /// clear the bit if the line is gone from every level and the retained
-    /// table. (Re-checking keeps the index exact across partial removals —
-    /// an L1 eviction of a line still sitting in L2, say.)
-    fn res_drop_if_absent(&mut self, line: LineAddr, lid: LineId, who: usize) {
-        if self.cores[who].caches.holds(line) {
+    /// `who` may have stopped holding the line: re-check the ground truth
+    /// and clear the bit if the line is gone from every level and the
+    /// retained table. (Re-checking keeps the index exact across partial
+    /// removals — an L1 eviction of a line still sitting in L2, say.)
+    fn res_drop_if_absent(&mut self, lid: LineId, who: usize) {
+        if self.cores[who].caches.holds(lid) {
             return;
         }
         self.residency[lid as usize] &= !(1 << who);
     }
 
-    /// `who` just removed `line` from every cache level: only its retained
-    /// table can still hold the line, so that is the whole re-check.
+    /// `who` just removed the line from every cache level: only its
+    /// retained table can still hold it, so that is the whole re-check.
     #[inline]
-    fn res_drop_unless_retained(&mut self, line: LineAddr, lid: LineId, who: usize) {
-        if !self.cores[who].caches.retained.contains_key(&line) {
+    fn res_drop_unless_retained(&mut self, lid: LineId, who: usize) {
+        if !self.cores[who].caches.retained.contains_key(&lid) {
             self.residency[lid as usize] &= !(1 << who);
         }
     }
@@ -1379,7 +1388,6 @@ impl Machine {
         let cycle = self.cores[who].clock;
         self.emit(TraceEvent::TxCommit { core: who, cycle });
         self.cores[who].writeset.publish(&mut self.memory);
-        self.tx_writers &= !(1 << who);
         if self.epoch_on {
             self.log_commit_footprint(who, cycle);
         }
@@ -1409,11 +1417,10 @@ impl Machine {
     fn log_commit_footprint(&mut self, who: usize, cycle: u64) {
         let n = self.cores.len();
         let start = self.epoch.commit_lines.len();
-        for i in 0..self.cores[who].caches.spec_lines.len() {
-            let (line, lid) = self.cores[who].caches.spec_lines[i];
+        for &lid in &self.cores[who].caches.spec_lines {
             let (_r, w) = self.spec_masks[lid as usize * n + who];
             if w != 0 {
-                self.epoch.commit_lines.push((line, w));
+                self.epoch.commit_lines.push((self.intern.line(lid), w));
             }
         }
         let len = self.epoch.commit_lines.len() - start;
@@ -1426,7 +1433,6 @@ impl Machine {
     /// both remote-probe aborts and self-detected aborts).
     fn teardown_tx(&mut self, who: usize) {
         self.cores[who].writeset.discard();
-        self.tx_writers &= !(1 << who);
         self.clear_spec_state(who, true);
     }
 
@@ -1435,8 +1441,8 @@ impl Machine {
     /// signatures, and write set (done by the callers / here), plus one
     /// O(|own spec lines|) walk that simultaneously clears the L1 records,
     /// drains the retained table, retires this core's spec-directory
-    /// columns, and feeds the residency index — every buffer involved is
-    /// pooled across attempts.
+    /// columns and writer bits, and feeds the residency index — every
+    /// buffer involved is pooled across attempts.
     fn clear_spec_state(&mut self, who: usize, invalidate_written: bool) {
         let t0 = self.obs_timer();
         let mut lines = std::mem::take(&mut self.cores[who].caches.spec_lines);
@@ -1445,11 +1451,12 @@ impl Machine {
             o.registry.inc(o.c.teardown_walks);
             o.registry.add(o.c.teardown_lines, lines.len() as u64);
         });
-        for &(line, lid) in &lines {
+        for &lid in &lines {
             self.spec_dir_clear(lid, who);
+            self.writers[lid as usize] &= !(1 << who);
             self.cores[who]
                 .caches
-                .clear_spec_line(line, lid, invalidate_written, &mut dropped);
+                .clear_spec_line(lid, invalidate_written, &mut dropped);
         }
         debug_assert!(
             self.cores[who].caches.retained.is_empty(),
@@ -1466,11 +1473,11 @@ impl Machine {
         }
         core.read_log.clear();
         core.needs_validation = false;
-        for &(line, lid, left_caches) in &dropped {
+        for &(lid, left_caches) in &dropped {
             if left_caches {
-                self.res_drop_unless_retained(line, lid, who);
+                self.res_drop_unless_retained(lid, who);
             } else {
-                self.res_drop_if_absent(line, lid, who);
+                self.res_drop_if_absent(lid, who);
             }
         }
         self.arena.checkin_dropped(dropped);
@@ -1534,27 +1541,27 @@ impl Machine {
                 }
             }
             TxOp::Read { addr, size } => {
-                self.access(who, Access::read(addr, size), transactional)?;
+                let lids = self.access(who, Access::read(addr, size), transactional)?;
                 if transactional {
-                    self.isolation_check(who, addr, size);
+                    self.isolation_check(who, addr, size, lids);
                     self.log_read(who, addr, size);
                 }
                 Ok(())
             }
             TxOp::Write { addr, size, value } => {
-                self.access(who, Access::write(addr, size), transactional)?;
+                let lids = self.access(who, Access::write(addr, size), transactional)?;
                 if transactional {
                     self.cores[who].writeset.write_u64(addr, size, value);
-                    self.tx_writers |= 1 << who;
+                    self.note_writer(who, lids);
                 } else {
                     self.memory.write_u64(addr, size, value);
                 }
                 Ok(())
             }
             TxOp::Update { addr, size, delta } => {
-                self.access(who, Access::read(addr, size), transactional)?;
+                let lids = self.access(who, Access::read(addr, size), transactional)?;
                 if transactional {
-                    self.isolation_check(who, addr, size);
+                    self.isolation_check(who, addr, size, lids);
                     self.log_read(who, addr, size);
                 }
                 self.access(who, Access::write(addr, size), transactional)?;
@@ -1563,7 +1570,7 @@ impl Machine {
                     self.cores[who]
                         .writeset
                         .write_u64(addr, size, v.wrapping_add(delta));
-                    self.tx_writers |= 1 << who;
+                    self.note_writer(who, lids);
                 } else {
                     let v = self.memory.read_u64(addr, size);
                     self.memory.write_u64(addr, size, v.wrapping_add(delta));
@@ -1595,13 +1602,14 @@ impl Machine {
     ///
     /// Under DPTM-style WAR speculation the invariant is intentionally
     /// relaxed (reads may overlap remote writes and validate later), so the
-    /// oracle is disabled in that mode. Only cores in `tx_writers` can have
-    /// an overlapping write set; the rest are skipped without a look.
-    fn isolation_check(&mut self, who: usize, addr: Addr, size: u32) {
+    /// oracle is disabled in that mode. Only cores in the writer masks of
+    /// the read's lines can have an overlapping write set; the rest are
+    /// skipped without a look.
+    fn isolation_check(&mut self, who: usize, addr: Addr, size: u32, (a, b): Frags) {
         if self.cfg.war_speculation {
             return;
         }
-        let mut writers = self.tx_writers & !(1 << who);
+        let mut writers = (self.writers[a as usize] | self.writers[b as usize]) & !(1 << who);
         while writers != 0 {
             let v = writers.trailing_zeros() as usize;
             writers &= writers - 1;
@@ -1611,12 +1619,23 @@ impl Machine {
         }
     }
 
+    /// Mark `who` as a writer of the stored-to lines.
+    #[inline]
+    fn note_writer(&mut self, who: usize, (a, b): Frags) {
+        self.writers[a as usize] |= 1 << who;
+        self.writers[b as usize] |= 1 << who;
+    }
+
     /// Perform a (possibly multi-line) access, charging latency and doing
-    /// all coherence + HTM work per line fragment.
-    fn access(&mut self, who: usize, acc: Access, transactional: bool) -> Result<(), AbortCause> {
+    /// all coherence + HTM work per line fragment. Returns the fragments'
+    /// line ids.
+    fn access(&mut self, who: usize, acc: Access, transactional: bool) -> Result<Frags, AbortCause> {
+        let mut lids: Option<Frags> = None;
         for (line, off, len) in acc.line_fragments() {
             let mask = AccessMask::from_range(off, len);
-            let latency = self.access_line(who, line, mask, acc.is_write, transactional)?;
+            let lid = self.intern_line(line);
+            lids = Some((lids.map_or(lid, |(first, _)| first), lid));
+            let latency = self.access_line(who, line, lid, mask, acc.is_write, transactional)?;
             let jitter = if self.cfg.latency_jitter > 0 {
                 self.cores[who].rng.below(self.cfg.latency_jitter + 1)
             } else {
@@ -1627,7 +1646,7 @@ impl Machine {
                 self.stats.on_access(off, len);
             }
         }
-        Ok(())
+        Ok(lids.expect("an access covers at least one byte"))
     }
 
     /// One line-fragment access. Returns the charged latency.
@@ -1635,20 +1654,20 @@ impl Machine {
         &mut self,
         who: usize,
         line: LineAddr,
+        lid: LineId,
         mask: AccessMask,
         is_write: bool,
         transactional: bool,
     ) -> Result<u64, AbortCause> {
         let lat = self.cfg.machine.latency;
         let probe_kind = ProbeKind::for_access(is_write);
-        let lid = self.intern_line(line);
 
         // Classify the local L1 state. Classification deliberately uses
         // `peek` (no LRU touch): a miss-classified access must leave the
         // replacement order exactly as the probe path expects to find it.
         let (present, readable, writable, dirty_hit) = {
             let core = &self.cores[who];
-            match core.caches.l1.peek(line) {
+            match core.caches.l1.peek(lid) {
                 Some(meta) => (
                     true,
                     meta.moesi.readable(),
@@ -1663,12 +1682,12 @@ impl Machine {
 
         // Fast path: plain L1 hit with sufficient permission and no dirty
         // bytes under a transactional access. Spec marking is inlined on
-        // the same `get` borrow (one LRU-touching set scan, not two).
+        // the same `get` borrow (one LRU-touching index load, not two).
         let plain_hit = present && !dirty_hit && if is_write { writable } else { readable };
         if plain_hit {
             self.stats.l1_hits += 1;
             let core = &mut self.cores[who];
-            let meta = core.caches.l1.get(line).expect("present line");
+            let meta = core.caches.l1.get(lid).expect("present line");
             if is_write {
                 meta.moesi = meta.moesi.after_local_write();
             }
@@ -1689,7 +1708,7 @@ impl Machine {
                     }
                 }
                 if !was_spec {
-                    core.caches.note_spec_line(line, lid);
+                    core.caches.note_spec_line(lid);
                 }
                 if grows {
                     self.spec_dir_mark(lid, who, mask, is_write);
@@ -1732,7 +1751,7 @@ impl Machine {
         } else {
             self.cores[who]
                 .caches
-                .local_fill_level(line)
+                .local_fill_level(lid)
                 .unwrap_or(AccessLevel::Memory)
         };
 
@@ -1741,7 +1760,7 @@ impl Machine {
             // Upgrade or dirty refetch: line stays resident.
             let enable_dirty = self.cfg.enable_dirty;
             let core = &mut self.cores[who];
-            let meta = core.caches.l1.get(line).expect("present line");
+            let meta = core.caches.l1.get(lid).expect("present line");
             meta.moesi = MoesiState::install_for(is_write, summary.others_had_copy);
             if transactional && enable_dirty {
                 meta.spec.mark_dirty(summary.piggyback);
@@ -1766,17 +1785,15 @@ impl Machine {
             // Miss: fill from `level` and insert. The outer-level fill can
             // silently evict lines from L2/L3; the residency index hears
             // about both the fill and those evictions.
-            let (ev2, ev3) = self.cores[who].caches.fill_outer(line);
+            let (ev2, ev3) = self.cores[who].caches.fill_outer(lid, line);
             self.res_add(lid, who);
-            if let Some(e) = ev2 {
-                let elid = self.intern_line(e);
-                self.res_drop_if_absent(e, elid, who);
+            if let Some(elid) = ev2 {
+                self.res_drop_if_absent(elid, who);
             }
-            if let Some(e) = ev3 {
-                let elid = self.intern_line(e);
-                self.res_drop_if_absent(e, elid, who);
+            if let Some(elid) = ev3 {
+                self.res_drop_if_absent(elid, who);
             }
-            let retained = self.cores[who].caches.retained.remove(&line);
+            let retained = self.cores[who].caches.retained.remove(&lid);
             if retained.is_some() {
                 self.obs_with(|o| {
                     let id = o.c.retained_folds;
@@ -1798,7 +1815,7 @@ impl Machine {
             // LogTM-style signatures decouple conflict state from the cache:
             // speculative lines need not be pinned and eviction is legal.
             let sig_mode = self.cfg.signatures.is_some();
-            let inserted = self.cores[who].caches.l1.insert(line, meta, |m: &LineMeta| {
+            let inserted = self.cores[who].caches.l1.insert(lid, line, meta, |m: &LineMeta| {
                 !sig_mode && m.spec.is_speculative()
             });
             match inserted {
@@ -1812,14 +1829,13 @@ impl Machine {
                         self.cores[who]
                             .caches
                             .retained
-                            .entry(evicted.line)
+                            .entry(evicted.lid)
                             .or_insert(SpecState::EMPTY)
                             .merge(&evicted.meta.spec);
                     }
                     // An L1-evicted line usually survives in L2/L3 (or just
                     // moved to `retained`); only a full departure clears it.
-                    let elid = self.intern_line(evicted.line);
-                    self.res_drop_if_absent(evicted.line, elid, who);
+                    self.res_drop_if_absent(evicted.lid, who);
                 }
                 Ok(None) => {}
                 Err(_full) => {
@@ -1890,7 +1906,7 @@ impl Machine {
         let meta = core
             .caches
             .l1
-            .peek_mut(line)
+            .peek_mut(lid)
             .expect("spec marking requires a resident line");
         let was_spec = meta.spec.is_speculative();
         let grows;
@@ -1911,7 +1927,7 @@ impl Machine {
             // A freshly-speculative line cannot already be tracked: a line
             // re-fetched with retained state folds that state back into the
             // live mask before marking, so `was_spec` is true for it.
-            core.caches.note_spec_line(line, lid);
+            core.caches.note_spec_line(lid);
         }
         if grows {
             self.spec_dir_mark(lid, who, mask, is_write);
@@ -1934,7 +1950,7 @@ impl Machine {
     ) -> Option<AbortCause> {
         let now = self.cores[who].clock;
         let detector = self.effective_detector(lid);
-        let vspec = self.snapshot_victim_spec(who, line, lid);
+        let vspec = self.snapshot_victim_spec(who, lid);
         for &(v, merged) in &vspec {
             if !self.cores[v].in_running_tx() {
                 continue;
@@ -1963,7 +1979,7 @@ impl Machine {
     }
 
     /// Snapshot, in ascending core order, every other core's merged
-    /// (live + retained) speculative state for `line` — the per-probe
+    /// (live + retained) speculative state for the line — the per-probe
     /// victim view the conflict checks run against.
     ///
     /// Default: **one** spec-directory lookup plus bit ops; the directory
@@ -1977,12 +1993,7 @@ impl Machine {
     /// victim teardown sound: `abort_victim` mutates the directory, but
     /// each victim's state is read before any abort this probe causes, and
     /// a victim's teardown never alters another core's masks.
-    fn snapshot_victim_spec(
-        &mut self,
-        who: usize,
-        line: LineAddr,
-        lid: LineId,
-    ) -> Vec<(usize, SpecState)> {
+    fn snapshot_victim_spec(&mut self, who: usize, lid: LineId) -> Vec<(usize, SpecState)> {
         let mut out = self.arena.checkout_vspec();
         if !self.cfg.exhaustive_spec_walk {
             let row = self.spec_cores[lid as usize];
@@ -2014,10 +2025,10 @@ impl Machine {
                 let mut merged = self.cores[v]
                     .caches
                     .l1
-                    .peek(line)
+                    .peek(lid)
                     .map(|m| m.spec)
                     .unwrap_or(SpecState::EMPTY);
-                if let Some(ret) = self.cores[v].caches.retained.get(&line) {
+                if let Some(ret) = self.cores[v].caches.retained.get(&lid) {
                     merged.merge(ret);
                 }
                 if merged.is_speculative() {
@@ -2080,7 +2091,10 @@ impl Machine {
             || (cfg!(debug_assertions) && self.stats.probes.is_multiple_of(64))
         {
             self.crosscheck_residency(line, lid);
-            self.crosscheck_tx_writers();
+            self.crosscheck_writers(line, lid);
+        }
+        if self.cfg.verify_residency {
+            self.cores[who].caches.check().expect("cache levels consistent");
         }
         // Same fence for the speculative-state directory: a stale column
         // would mis-classify (or miss) a conflict, so divergence fails here.
@@ -2100,7 +2114,7 @@ impl Machine {
         // per probe; ascending by core id, like the target walk, so a
         // cursor pairs them up. Batched mode leaves it empty.
         let vspec = if use_snapshot {
-            self.snapshot_victim_spec(who, line, lid)
+            self.snapshot_victim_spec(who, lid)
         } else {
             self.arena.checkout_vspec()
         };
@@ -2303,7 +2317,7 @@ impl Machine {
 
             // --- Coherence state updates ---------------------------------
             let survived_spec = self.cores[v].in_running_tx();
-            if let Some(meta) = self.cores[v].caches.l1.peek_mut(line) {
+            if let Some(meta) = self.cores[v].caches.l1.peek_mut(lid) {
                 summary.others_had_copy = true;
                 if meta.moesi.owns_data() {
                     summary.owner_supplied = true;
@@ -2322,7 +2336,7 @@ impl Machine {
                         }
                         let taken = self.cores[v]
                             .caches
-                            .invalidate_all_levels(line)
+                            .invalidate_all_levels(lid)
                             .expect("line was resident");
                         // A surviving transaction keeps its speculative
                         // metadata for later conflict checks (§IV-D-2).
@@ -2333,28 +2347,28 @@ impl Machine {
                             self.cores[v]
                                 .caches
                                 .retained
-                                .entry(line)
+                                .entry(lid)
                                 .or_insert(SpecState::EMPTY)
                                 .merge(&taken.spec);
                             retained_mask |= 1 << v;
                             obs_saves += 1;
                         }
-                        self.res_drop_unless_retained(line, lid, v);
+                        self.res_drop_unless_retained(lid, v);
                     }
                 }
             } else {
                 // L2/L3-only copies.
-                if self.cores[v].caches.l2.contains(line)
-                    || self.cores[v].caches.l3.contains(line)
+                if self.cores[v].caches.l2.contains(lid)
+                    || self.cores[v].caches.l3.contains(lid)
                 {
                     summary.others_had_copy = true;
                     if kind.invalidates() {
                         if obs_on {
                             obs_invalidations += 1;
                         }
-                        self.cores[v].caches.l2.remove(line);
-                        self.cores[v].caches.l3.remove(line);
-                        self.res_drop_unless_retained(line, lid, v);
+                        self.cores[v].caches.l2.remove(lid);
+                        self.cores[v].caches.l3.remove(lid);
+                        self.res_drop_unless_retained(lid, v);
                     }
                 }
             }
@@ -2379,7 +2393,7 @@ impl Machine {
                 ProbeKind::Invalidating => {
                     let mut mask = (1u64 << who) | retained_mask;
                     for (v, core) in self.cores.iter().enumerate() {
-                        if v != who && core.caches.retained.contains_key(&line) {
+                        if v != who && core.caches.retained.contains_key(&lid) {
                             mask |= 1 << v;
                         }
                     }
@@ -2406,7 +2420,7 @@ impl Machine {
     fn crosscheck_residency(&self, line: LineAddr, lid: LineId) {
         let bits = self.residency[lid as usize];
         for (v, core) in self.cores.iter().enumerate() {
-            let truth = core.caches.holds(line);
+            let truth = core.caches.holds(lid);
             let indexed = bits & (1 << v) != 0;
             assert_eq!(
                 indexed,
@@ -2418,16 +2432,20 @@ impl Machine {
         }
     }
 
-    /// Cross-check the isolation oracle's writer mask: bit `v` of
-    /// `tx_writers` must be set exactly when core `v`'s write set is
-    /// non-empty. A missing bit would silence the oracle for that core.
-    fn crosscheck_tx_writers(&self) {
+    /// Cross-check one line's writer mask: bit `v` must be set exactly
+    /// when core `v`'s write set holds current-attempt bytes in the line. A
+    /// missing bit would silence the isolation oracle for that core.
+    fn crosscheck_writers(&self, line: LineAddr, lid: LineId) {
+        let bits = self.writers[lid as usize];
         for (v, core) in self.cores.iter().enumerate() {
-            let masked = self.tx_writers & (1 << v) != 0;
-            let truth = !core.writeset.is_empty();
+            let masked = bits & (1 << v) != 0;
+            let truth = core.writeset.holds_line(line);
             assert_eq!(
-                masked, truth,
-                "writer mask diverged on core {v}: mask says {masked}, write set says {truth}"
+                masked,
+                truth,
+                "writer mask diverged for line {:#x} on core {v}: \
+                 mask says {masked}, write set says {truth}",
+                line.base().0
             );
         }
     }
@@ -2443,10 +2461,10 @@ impl Machine {
             let mut truth = core
                 .caches
                 .l1
-                .peek(line)
+                .peek(lid)
                 .map(|m| m.spec)
                 .unwrap_or(SpecState::EMPTY);
-            if let Some(ret) = core.caches.retained.get(&line) {
+            if let Some(ret) = core.caches.retained.get(&lid) {
                 truth.merge(ret);
             }
             let (r, w) = self.spec_masks[lid as usize * n + v];
@@ -2479,42 +2497,16 @@ impl Machine {
     /// teardown walk relies on: every line carrying state appears on its
     /// core's tracked list exactly once.
     pub fn verify_spec_directory_index(&self) -> Result<(), String> {
-        use std::collections::HashSet;
+        // Every line with state anywhere was interned when first touched.
         let n = self.cores.len();
-        let mut lines: HashSet<LineAddr> = self
-            .intern
-            .iter()
-            .filter(|&(lid, _)| self.spec_cores[lid as usize] != 0)
-            .map(|(_, l)| l)
-            .collect();
-        for core in &self.cores {
-            lines.extend(core.caches.spec_lines.iter().map(|&(l, _)| l));
-            lines.extend(core.caches.retained.keys().copied());
-            lines.extend(
-                core.caches
-                    .l1
-                    .iter()
-                    .filter(|(_, m)| m.spec.is_speculative())
-                    .map(|(l, _)| l),
-            );
-        }
-        for &line in &lines {
-            let lid = self.intern.get(line);
+        for (lid, line) in self.intern.iter() {
             for (v, core) in self.cores.iter().enumerate() {
-                let mut truth = core
-                    .caches
-                    .l1
-                    .peek(line)
-                    .map(|m| m.spec)
-                    .unwrap_or(SpecState::EMPTY);
-                if let Some(ret) = core.caches.retained.get(&line) {
+                let mut truth = core.caches.l1.peek(lid).map(|m| m.spec).unwrap_or(SpecState::EMPTY);
+                if let Some(ret) = core.caches.retained.get(&lid) {
                     truth.merge(ret);
                 }
-                let (r, w) = lid
-                    .map(|lid| self.spec_masks[lid as usize * n + v])
-                    .unwrap_or((0, 0));
-                let listed =
-                    lid.is_some_and(|lid| self.spec_cores[lid as usize] & (1 << v) != 0);
+                let (r, w) = self.spec_masks[lid as usize * n + v];
+                let listed = self.spec_cores[lid as usize] & (1 << v) != 0;
                 if (r, w) != (truth.read_mask.0, truth.write_mask.0) {
                     return Err(format!(
                         "line {:#x}: core {v} directory masks ({r:#x}, {w:#x}) != \
@@ -2532,14 +2524,15 @@ impl Machine {
                         truth.is_speculative()
                     ));
                 }
-                let tracked =
-                    core.caches.spec_lines.iter().filter(|&&(l, _)| l == line).count();
-                if truth.is_speculative() && tracked != 1 {
-                    return Err(format!(
-                        "line {:#x}: core {v} speculative but tracked {tracked}x \
-                         on its spec-line list",
-                        line.base().0
-                    ));
+                if truth.is_speculative() {
+                    let tracked = core.caches.spec_lines.iter().filter(|&&l| l == lid).count();
+                    if tracked != 1 {
+                        return Err(format!(
+                            "line {:#x}: core {v} speculative but tracked {tracked}x \
+                             on its spec-line list",
+                            line.base().0
+                        ));
+                    }
                 }
             }
         }
@@ -2551,29 +2544,17 @@ impl Machine {
     /// [`Self::check_coherence_invariants`]). Checks both directions: every
     /// held line is indexed (soundness — a probe must never skip a core
     /// that matters) and every indexed bit is backed by real residency
-    /// (exactness — stale bits would erode the probe savings).
+    /// (exactness — stale bits would erode the probe savings). Each core's
+    /// cache levels must also pass their own self-consistency check.
     pub fn verify_residency_index(&self) -> Result<(), String> {
-        use std::collections::HashSet;
-        let mut lines: HashSet<LineAddr> = self
-            .intern
-            .iter()
-            .filter(|&(lid, _)| self.residency[lid as usize] != 0)
-            .map(|(_, l)| l)
-            .collect();
-        for core in &self.cores {
-            lines.extend(core.caches.l1.iter().map(|(l, _)| l));
-            lines.extend(core.caches.l2.iter().map(|(l, _)| l));
-            lines.extend(core.caches.l3.iter().map(|(l, _)| l));
-            lines.extend(core.caches.retained.keys().copied());
+        for (v, core) in self.cores.iter().enumerate() {
+            core.caches.check().map_err(|e| format!("core {v} caches: {e}"))?;
         }
-        for &line in &lines {
-            let bits = self
-                .intern
-                .get(line)
-                .map(|lid| self.residency[lid as usize])
-                .unwrap_or(0);
+        // Every cached or retained line was interned when first touched.
+        for (lid, line) in self.intern.iter() {
+            let bits = self.residency[lid as usize];
             for (v, core) in self.cores.iter().enumerate() {
-                let truth = core.caches.holds(line);
+                let truth = core.caches.holds(lid);
                 let indexed = bits & (1 << v) != 0;
                 if truth && !indexed {
                     return Err(format!(

@@ -254,6 +254,13 @@ impl WriteSet {
         })
     }
 
+    /// Does the current attempt hold buffered bytes in `line`?
+    pub fn holds_line(&self, line: LineAddr) -> bool {
+        self.lines
+            .get(&line)
+            .is_some_and(|slot| slot.epoch == self.epoch && slot.mask != 0)
+    }
+
     /// Does the buffered set overlap `[addr, addr+size)`?
     #[inline]
     pub fn overlaps(&self, addr: Addr, size: u32) -> bool {

@@ -1,4 +1,4 @@
-//! Set-associative cache geometry: size/associativity → index & tag math.
+//! Set-associative cache geometry: size/associativity → set-index math.
 
 use crate::addr::{LineAddr, LINE_SIZE};
 
@@ -50,12 +50,6 @@ impl CacheGeometry {
     pub fn set_of(&self, line: LineAddr) -> usize {
         (line.0 as usize) & (self.sets() - 1)
     }
-
-    /// Tag for a line address (the bits above the index).
-    #[inline]
-    pub fn tag_of(&self, line: LineAddr) -> u64 {
-        line.0 >> self.sets().trailing_zeros()
-    }
 }
 
 #[cfg(test)]
@@ -80,25 +74,14 @@ mod tests {
     }
 
     #[test]
-    fn set_and_tag_partition_the_line_address() {
+    fn set_index_is_the_low_line_bits() {
         let g = CacheGeometry::new(64 * 1024, 2);
         for raw in [0u64, 0x40, 64 * 1024, 0xde_adbe_efc0] {
             let line = Addr(raw).line();
-            let set = g.set_of(line);
-            let tag = g.tag_of(line);
-            assert!(set < g.sets());
-            // Reconstruct.
-            assert_eq!((tag << 9) | set as u64, line.0);
+            assert_eq!(g.set_of(line) as u64, line.0 % 512);
         }
-    }
-
-    #[test]
-    fn lines_one_set_apart_share_a_set() {
-        let g = CacheGeometry::new(64 * 1024, 2);
-        let a = Addr(0).line();
-        let b = Addr(512 * 64).line(); // 512 sets later
-        assert_eq!(g.set_of(a), g.set_of(b));
-        assert_ne!(g.tag_of(a), g.tag_of(b));
+        // Lines 512 sets apart share a set.
+        assert_eq!(g.set_of(Addr(0).line()), g.set_of(Addr(512 * 64).line()));
     }
 
     #[test]

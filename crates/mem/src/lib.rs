@@ -8,8 +8,8 @@
 //!   ground-truth representation from which every conflict-detection
 //!   granularity (line, sub-block, byte) is derived;
 //! * [`geometry`] — set-associative cache geometry (index/tag/offset math);
-//! * [`cache`] — a generic set-associative tag array with true-LRU
-//!   replacement, parameterised over per-line metadata;
+//! * [`cache`] — a set-associative cache level with true-LRU replacement,
+//!   keyed by interned line id and parameterised over per-line metadata;
 //! * [`moesi`] — the MOESI coherence state machine used by the snooping
 //!   fabric;
 //! * [`latency`] — the Table II latency model of the paper (AMD Opteron
@@ -37,7 +37,7 @@ pub mod moesi;
 pub mod rng;
 
 pub use addr::{Addr, CoreId, LineAddr};
-pub use cache::{CacheArray, EvictionInfo, LookupResult};
+pub use cache::{CacheArray, EvictionInfo};
 pub use config::MachineConfig;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use geometry::CacheGeometry;

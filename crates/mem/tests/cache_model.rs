@@ -1,9 +1,12 @@
 //! Model-based property test: `CacheArray` against a trivially correct
 //! reference implementation (a per-set vector with explicit LRU ordering).
+//! Line `n` is interned as id `n`, and every real op is followed by the
+//! array's own self-consistency check.
 
 use asf_mem::addr::{Addr, LineAddr};
 use asf_mem::cache::CacheArray;
 use asf_mem::geometry::CacheGeometry;
+use asf_mem::intern::LineId;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -103,6 +106,20 @@ fn line(n: u8) -> LineAddr {
     Addr(n as u64 * 64).line()
 }
 
+/// Line `n`'s id.
+fn id(n: u8) -> LineId {
+    n as LineId
+}
+
+/// The real array's insert under the "meta >= PIN is pinned" rule.
+fn insert(real: &mut CacheArray<u32>, l: u8, m: u32) -> Result<Option<LineAddr>, ()> {
+    let ev = real.insert(id(l), line(l), m, |&meta| meta >= PIN).map_err(|_| ())?;
+    Ok(ev.map(|e| {
+        assert_eq!(e.line, Addr(e.lid as u64 * 64).line(), "evicted id names its line");
+        e.line
+    }))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -111,45 +128,41 @@ proptest! {
         sets in prop::sample::select(vec![4usize, 64]),
         ops in prop::collection::vec(arb_op(), 1..200),
     ) {
-        // 4 sets × 2 ways keeps sets crowded; 64 sets spread the lines over
-        // more than one storage page.
+        // 4 sets × 2 ways keeps sets crowded; with 64 sets most lines sit
+        // alone in their set.
         let geom = CacheGeometry::new(sets * 2 * 64, 2);
         let mut real: CacheArray<u32> = CacheArray::new(geom);
         let mut model = Model::new(geom);
         for op in ops {
             match op {
                 Op::Get(l) => {
-                    let a = real.get(line(l)).map(|m| *m);
+                    let a = real.get(id(l)).map(|m| *m);
                     let b = model.get(line(l));
                     prop_assert_eq!(a, b, "get({})", l);
                 }
                 Op::Peek(l) => {
-                    prop_assert_eq!(real.peek(line(l)).copied(), model.peek(line(l)));
+                    prop_assert_eq!(real.peek(id(l)).copied(), model.peek(line(l)));
                 }
                 Op::Insert(l, m) => {
-                    let a = real.insert(line(l), m, |&meta| meta >= PIN);
+                    let a = insert(&mut real, l, m);
                     let b = model.insert(line(l), m, PIN);
-                    match (a, b) {
-                        (Ok(None), Ok(None)) => {}
-                        (Ok(Some(ev)), Ok(Some(evm))) => {
-                            prop_assert_eq!(ev.line, evm, "evicted line");
-                        }
-                        (Err(_), Err(())) => {}
-                        (a, b) => prop_assert!(false, "divergence: {:?} vs {:?}", a, b),
-                    }
+                    prop_assert_eq!(a, b, "insert({}, {})", l, m);
                 }
                 Op::Remove(l) => {
-                    prop_assert_eq!(real.remove(line(l)), model.remove(line(l)));
+                    prop_assert_eq!(real.remove(id(l)), model.remove(line(l)));
                 }
             }
             prop_assert_eq!(real.len(), model.len());
+            if let Err(e) = real.check() {
+                prop_assert!(false, "self-check after {:?}: {}", op, e);
+            }
         }
         // Final contents agree, looked up and walked.
         let mut want = vec![];
         for n in 0u16..=255 {
-            let l = line(n as u8);
-            prop_assert_eq!(real.peek(l).copied(), model.peek(l));
-            want.extend(model.peek(l).map(|m| (l, m)));
+            let n = n as u8;
+            prop_assert_eq!(real.peek(id(n)).copied(), model.peek(line(n)));
+            want.extend(model.peek(line(n)).map(|m| (line(n), m)));
         }
         let mut got: Vec<_> = real.iter().map(|(l, &m)| (l, m)).collect();
         got.sort();
@@ -160,18 +173,19 @@ proptest! {
 /// Run one op against both implementations, failing on any divergence.
 fn step(real: &mut CacheArray<u32>, model: &mut Model, op: &Op) -> Result<(), TestCaseError> {
     match *op {
-        Op::Get(l) => prop_assert_eq!(real.get(line(l)).map(|m| *m), model.get(line(l))),
-        Op::Peek(l) => prop_assert_eq!(real.peek(line(l)).copied(), model.peek(line(l))),
+        Op::Get(l) => prop_assert_eq!(real.get(id(l)).map(|m| *m), model.get(line(l))),
+        Op::Peek(l) => prop_assert_eq!(real.peek(id(l)).copied(), model.peek(line(l))),
         Op::Insert(l, m) => {
-            let a = real
-                .insert(line(l), m, |&meta| meta >= PIN)
-                .map(|ev| ev.map(|e| e.line));
+            let a = insert(real, l, m);
             let b = model.insert(line(l), m, PIN);
-            prop_assert_eq!(a.ok(), b.ok(), "insert({}, {})", l, m);
+            prop_assert_eq!(a, b, "insert({}, {})", l, m);
         }
-        Op::Remove(l) => prop_assert_eq!(real.remove(line(l)), model.remove(line(l))),
+        Op::Remove(l) => prop_assert_eq!(real.remove(id(l)), model.remove(line(l))),
     }
     prop_assert_eq!(real.len(), model.len());
+    if let Err(e) = real.check() {
+        prop_assert!(false, "self-check after {:?}: {}", op, e);
+    }
     Ok(())
 }
 
@@ -205,7 +219,6 @@ fn removed_way_is_reused_before_any_eviction() {
     for op in &ops {
         step(&mut real, &mut model, op).unwrap();
     }
-    assert_eq!(real.fills(), 8);
     assert_eq!(real.evictions(), 2);
 }
 
@@ -235,7 +248,7 @@ fn pinned_set_is_full_until_a_way_is_freed() {
         step(&mut real, &mut model, op).unwrap();
     }
     assert_eq!(
-        real.insert(line(9), 0, |&m| m >= PIN),
+        real.insert(id(9), line(9), 0, |&m| m >= PIN),
         Err(asf_mem::cache::SetFull)
     );
 }
@@ -265,7 +278,7 @@ proptest! {
             step(&mut real, &mut model, op)?;
         }
         for l in 0u8..12 {
-            prop_assert_eq!(real.peek(line(l)).copied(), model.peek(line(l)));
+            prop_assert_eq!(real.peek(id(l)).copied(), model.peek(line(l)));
         }
     }
 }

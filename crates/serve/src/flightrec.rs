@@ -122,7 +122,7 @@ impl FlightRecorder {
 
     /// Lifetime count of dump triggers (counted even with no directory).
     pub fn dumps(&self) -> u64 {
-        self.dumps.load(Ordering::Relaxed)
+        self.dumps.load(Ordering::Acquire)
     }
 
     /// Paths of every dump written so far.
@@ -154,27 +154,32 @@ impl FlightRecorder {
         out
     }
 
-    /// Fire a dump: record the trigger itself, count it, and — when a
-    /// directory is configured — persist the ring via temp+rename.
-    /// Returns the written path. Never panics: a recorder that cannot
-    /// write must not take the worker down a second time.
+    /// Fire a dump: record the trigger itself, persist the ring via
+    /// temp+rename when a directory is configured, then count the dump —
+    /// after the write attempt, so a reader that sees the count also sees
+    /// the path. Returns the written path. Never panics: a recorder that
+    /// cannot write must not take the worker down a second time.
     pub fn dump(&self, reason: &str, job: Option<&str>) -> Option<PathBuf> {
         self.record("flightrec.dump", job, reason);
-        self.dumps.fetch_add(1, Ordering::Relaxed);
-        let dir = self.dir.as_ref()?;
-        let body = self.to_json(reason, job);
-        let seq = self.dump_seq.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("flightrec_{}_{}.json", std::process::id(), seq));
-        match write_atomic(dir, &path, &body) {
-            Ok(()) => {
-                self.dump_paths.lock().expect("flightrec lock").push(path.clone());
-                Some(path)
+        let written = self.dir.as_ref().and_then(|dir| {
+            let body = self.to_json(reason, job);
+            let seq = self.dump_seq.fetch_add(1, Ordering::Relaxed);
+            let path = dir.join(format!("flightrec_{}_{}.json", std::process::id(), seq));
+            match write_atomic(dir, &path, &body) {
+                Ok(()) => {
+                    self.dump_paths.lock().expect("flightrec lock").push(path.clone());
+                    Some(path)
+                }
+                Err(e) => {
+                    eprintln!("warning: flight-recorder dump to {} failed: {e}", path.display());
+                    None
+                }
             }
-            Err(e) => {
-                eprintln!("warning: flight-recorder dump to {} failed: {e}", path.display());
-                None
-            }
-        }
+        });
+        // Release pairs with the Acquire in `dumps()`: a reader that sees
+        // this count also sees the path pushed above.
+        self.dumps.fetch_add(1, Ordering::Release);
+        written
     }
 }
 

@@ -935,16 +935,18 @@ impl Drop for PhaseGuard<'_> {
         if !self.armed {
             return;
         }
-        self.state.jobs_failed.fetch_add(1, Ordering::Relaxed);
-        *self.entry.phase.lock().unwrap() =
-            JobPhase::Failed("worker panicked during execution; resubmit to retry".to_string());
         // This drop only runs armed while unwinding a worker panic — the
         // flight-recorder dump turns "respawns == panics" into a
-        // debuggable artifact naming the job that died.
+        // debuggable artifact naming the job that died. It is written
+        // before the terminal phase is published, so a client that sees
+        // `failed` also sees the dump.
         let id = self.entry.spec.digest_hex();
         self.state.flightrec.record("job.panic", Some(&id), "worker unwound");
         self.state.flightrec.dump("worker_panic", Some(&id));
         self.state.log.error("serve.worker_panic").str("digest", &id).emit();
+        self.state.jobs_failed.fetch_add(1, Ordering::Relaxed);
+        *self.entry.phase.lock().unwrap() =
+            JobPhase::Failed("worker panicked during execution; resubmit to retry".to_string());
         self.state
             .metrics
             .job_e2e_ns

@@ -242,3 +242,136 @@ fn print_golden_shard_stats() {
     let stats = run_shard(1);
     println!("    ({:#018x}, {:?})", digest(&stats), key(&stats));
 }
+
+// ---------------------------------------------------------------------------
+// Standard-scale grid fence: the paper's 10 kernels × {baseline, sb4,
+// perfect} at `SimConfig::paper`, the grid the benchmark's `paper-grid`
+// workload sweeps. The Small-scale cells above miss drift that only the
+// larger inputs reach; this table pins every cell's full digest.
+// ---------------------------------------------------------------------------
+
+const GRID_DETECTORS: [DetectorKind; 3] =
+    [DetectorKind::Baseline, DetectorKind::SubBlock(4), DetectorKind::Perfect];
+
+fn grid_stats() -> Vec<(String, RunStats)> {
+    let mut out = Vec::new();
+    for w in asf_workloads::all(Scale::Standard) {
+        for det in GRID_DETECTORS {
+            let stats = Machine::run(w.as_ref(), SimConfig::paper(det)).stats;
+            out.push((format!("{}/{}", w.name(), det.label()), stats));
+        }
+    }
+    out
+}
+
+/// Expected (digest, key) per Standard-scale grid cell.
+const EXPECTED_GRID: &[(&str, u64, Key)] = &[
+    ("intruder/baseline", 0x36d34c6c782689a2, (4160, 917, 917, 45, 4055, 8345, 4055, 574092)),
+    ("intruder/sb4", 0x8823d45fb850c267, (4160, 903, 903, 7, 4136, 8166, 4136, 539820)),
+    ("intruder/perfect", 0x7d0eab2c2da32336, (4160, 685, 685, 0, 3730, 8016, 3730, 536381)),
+    ("kmeans/baseline", 0x044f9d9fd64191d0, (3200, 950, 950, 704, 8051, 20581, 8051, 449265)),
+    ("kmeans/sb4", 0x1b7ee9b36cda9eaa, (3200, 295, 295, 103, 7881, 16972, 7881, 252126)),
+    ("kmeans/perfect", 0xc316e6525ee4bf18, (3200, 191, 191, 0, 7419, 16836, 7419, 244535)),
+    ("labyrinth/baseline", 0x97774cfd726e6278, (581, 409, 355, 286, 6698, 16041, 6698, 415864)),
+    ("labyrinth/sb4", 0x4824971014ef3d87, (581, 274, 216, 137, 6191, 12541, 6191, 362489)),
+    ("labyrinth/perfect", 0x706619900e6743fa, (581, 134, 68, 0, 5432, 9396, 5432, 294540)),
+    ("ssca2/baseline", 0x2afd13ba752327d8, (3840, 991, 991, 852, 7092, 11224, 7092, 130650)),
+    ("ssca2/sb4", 0x1ad484a5834c6344, (3840, 261, 261, 112, 6024, 10160, 6024, 91834)),
+    ("ssca2/perfect", 0x6e4fad3a95a2d1be, (3840, 155, 155, 0, 5786, 10078, 5786, 86083)),
+    ("vacation/baseline", 0x895cdd0354b27c08, (2880, 1509, 1509, 1135, 12838, 23850, 12838, 321017)),
+    ("vacation/sb4", 0xf690c0f07380e79b, (2880, 650, 650, 84, 12519, 18366, 12519, 238147)),
+    ("vacation/perfect", 0xd9a0777d2e8553e3, (2880, 613, 613, 0, 12494, 18155, 12494, 225970)),
+    ("genome/baseline", 0xf61115b53ff73c8c, (3200, 850, 850, 622, 13341, 12496, 13341, 363192)),
+    ("genome/sb4", 0xa361702e634dc6b7, (3200, 429, 429, 131, 13341, 10695, 13341, 295943)),
+    ("genome/perfect", 0x6ed6959f3e580022, (3200, 320, 320, 0, 13228, 10374, 13228, 284643)),
+    ("scalparc/baseline", 0xfcb8902edb6fef63, (3040, 717, 717, 397, 10990, 19700, 10990, 309743)),
+    ("scalparc/sb4", 0xf99c70f2acdd7f5e, (3040, 332, 332, 8, 10592, 17615, 10592, 286180)),
+    ("scalparc/perfect", 0x45ffc8ded85539df, (3040, 285, 285, 0, 10563, 17325, 10563, 283173)),
+    ("apriori/baseline", 0x5f25b2890b6cd74c, (3360, 2353, 2353, 2328, 19565, 42833, 19565, 387113)),
+    ("apriori/sb4", 0xe20a46a423b5c9d3, (3360, 61, 61, 21, 18254, 22798, 18254, 202016)),
+    ("apriori/perfect", 0xe7b385e4a3e6536f, (3360, 28, 28, 0, 18206, 22450, 18206, 201231)),
+    ("fluidanimate/baseline", 0x4293bfaf9738e108, (2400, 105, 105, 49, 4885, 9783, 4885, 231035)),
+    ("fluidanimate/sb4", 0x22a89dfc05d56964, (2400, 67, 67, 0, 4839, 9736, 4839, 231399)),
+    ("fluidanimate/perfect", 0x22a89dfc05d56964, (2400, 67, 67, 0, 4839, 9736, 4839, 231399)),
+    ("utilitymine/baseline", 0x37e2561eb9c35ac5, (2720, 141, 141, 140, 9965, 7832, 9965, 413364)),
+    ("utilitymine/sb4", 0x37e2561eb9c35ac5, (2720, 141, 141, 140, 9965, 7832, 9965, 413364)),
+    ("utilitymine/perfect", 0xb6674bb4308e0023, (2720, 9, 9, 0, 9819, 7437, 9819, 407962)),
+];
+
+#[test]
+fn golden_stats_standard_grid() {
+    let got = grid_stats();
+    assert_eq!(got.len(), EXPECTED_GRID.len(), "grid cell count");
+    for ((name, stats), (ename, ed, ek)) in got.iter().zip(EXPECTED_GRID) {
+        assert_eq!(name, ename, "grid cell order");
+        assert_eq!(key(stats), *ek, "{name}: key counters drifted");
+        assert_eq!(digest(stats), *ed, "{name}: full RunStats digest drifted");
+    }
+}
+
+/// Prints the grid actuals in `EXPECTED_GRID` form; used to (re)baseline.
+#[test]
+#[ignore = "baseline capture helper, run with --ignored --nocapture"]
+fn print_golden_grid_stats() {
+    for (name, stats) in grid_stats() {
+        println!("    (\"{name}\", {:#018x}, {:?}),", digest(&stats), key(&stats));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Eviction fence: the paper geometry never evicts from L2 or L3, so no cell
+// above reaches the outer levels' victim path. A shrunken hierarchy (L1
+// 4 sets × 2 ways, L2 8 × 4, L3 16 × 4) evicts at every level and turns
+// pinned L1 sets into capacity aborts.
+// ---------------------------------------------------------------------------
+
+fn run_evicting() -> (RunStats, [u64; 3]) {
+    use asf_machine::obs::ObsConfig;
+    use asf_mem::geometry::CacheGeometry;
+    let mut cfg = SimConfig::paper_seeded(DetectorKind::SubBlock(4), 0xE71C);
+    cfg.machine.l1 = CacheGeometry::new(4 * 2 * 64, 2);
+    cfg.machine.l2 = CacheGeometry::new(8 * 4 * 64, 4);
+    cfg.machine.l3 = CacheGeometry::new(16 * 4 * 64, 4);
+    let w = asf_workloads::by_name("genome", Scale::Small).expect("known benchmark");
+    let mut m = Machine::new(w.as_ref(), cfg);
+    m.enable_observability(ObsConfig::default());
+    let out = m.run_to_completion();
+    let report = out.obs.expect("observability was enabled");
+    let ev = |level: &str| {
+        report
+            .registry
+            .get_by_name(&format!("cache.{level}_evictions"))
+            .expect("eviction counter registered")
+    };
+    (out.stats, [ev("l1"), ev("l2"), ev("l3")])
+}
+
+/// Expected (digest, key) of the evicting cell.
+const EXPECTED_EVICTING: (u64, Key) =
+    (0x07e70cd054dac815, (400, 13196, 2, 2, 26978, 47308, 26978, 57911050));
+
+#[test]
+fn golden_stats_evicting_geometry() {
+    let (stats, evictions) = run_evicting();
+    assert!(
+        evictions.iter().all(|&e| e > 0),
+        "every level must evict under the shrunken geometry: {evictions:?}"
+    );
+    let capacity = stats.aborts_by_cause[2];
+    assert!(capacity > 0, "pinned L1 sets must produce capacity aborts");
+    assert_eq!(key(&stats), EXPECTED_EVICTING.1, "evicting cell key counters drifted");
+    assert_eq!(digest(&stats), EXPECTED_EVICTING.0, "evicting cell digest drifted");
+}
+
+/// Prints the evicting cell's actuals; used to (re)baseline.
+#[test]
+#[ignore = "baseline capture helper, run with --ignored --nocapture"]
+fn print_golden_evicting_stats() {
+    let (stats, evictions) = run_evicting();
+    println!(
+        "    ({:#018x}, {:?}) evictions {evictions:?} capacity {}",
+        digest(&stats),
+        key(&stats),
+        stats.aborts_by_cause[2]
+    );
+}
