@@ -1,16 +1,22 @@
 //! Epoch-barrier micro-benchmark (DESIGN.md §15): the cost of the
-//! cross-shard inbox drain that runs single-threaded between epochs.
+//! cross-shard drain that the last worker to reach the barrier runs,
+//! single-threaded, between epochs while the other workers sleep.
 //!
 //! Two levels:
 //!
 //! * `dir_drain/<clusters>` — the barrier's directory work in isolation:
 //!   pass 1 notes every line that gained speculative state this epoch,
 //!   pass 2 routes each committed write footprint and walks the returned
-//!   target bitmask — exactly the shape of `ShardEngine::resolve_barrier`,
-//!   minus the per-target probe delivery into a live machine.
+//!   target bitmask — exactly the shape of the engine's barrier, minus
+//!   the per-target probe delivery into a live machine. A machine logs a
+//!   line for pass 1 only the first time in its life it gains speculative
+//!   state, so in a real run the notes thin out after the first epochs;
+//!   the fixed synthetic logs here are that early, note-heavy case.
 //! * `engine/<threads>` — a complete 32-core / 2-shard streaming run end to
 //!   end, so the barrier cost is visible in its real proportions (epoch
-//!   execution dominates; the drain must stay a rounding error).
+//!   execution dominates; the drain must stay a rounding error). The
+//!   workers live for the whole run: `engine/2` spawns its two threads
+//!   once per run, and `engine/1` runs on the calling thread.
 //!
 //! Like `sched`/`probe_batch`, this compiles in CI via `cargo bench -- --test`.
 

@@ -359,10 +359,12 @@ fn main() {
                 // `--scale huge` runs the million-transaction soak; every
                 // other scale uses the balanced mix preset.
                 let preset = if scale == Scale::Huge { "million" } else { "mix" };
+                let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+                let (threads_grid, capped) = asf_harness::scale::threads_grid(nproc);
                 eprintln!(
-                    "scale sweep: preset {preset}, cores {:?} x threads {:?}, seed {seed:#x} …",
+                    "scale sweep: preset {preset}, cores {:?} x threads {threads_grid:?}, \
+                     seed {seed:#x} …",
                     asf_harness::scale::CORES_GRID,
-                    asf_harness::scale::THREADS_GRID,
                 );
                 let mut checkpoint = checkpoint_path.as_ref().map(|path| {
                     if resume {
@@ -378,14 +380,18 @@ fn main() {
                     preset,
                     seed,
                     &asf_harness::scale::CORES_GRID,
-                    &asf_harness::scale::THREADS_GRID,
+                    &threads_grid,
                     checkpoint.as_mut(),
                 )
                 .unwrap_or_else(|e| {
                     eprintln!("FAIL: {e}");
                     std::process::exit(1);
                 });
-                emit("scale", report.table());
+                let mut table = report.table();
+                if let Some(note) = capped {
+                    table.note(note);
+                }
+                emit("scale", table);
                 if let Some(dir) = &json_dir {
                     for (name, json) in &report.timelines {
                         let path = format!("{dir}/{name}.json");

@@ -34,8 +34,23 @@ use std::time::{Duration, Instant};
 
 /// Simulated-core counts of the default sweep (`--scale huge` tier).
 pub const CORES_GRID: [usize; 3] = [64, 128, 256];
-/// Worker-thread counts of the default sweep.
+/// Worker-thread counts of the default sweep, before [`threads_grid`]
+/// caps them at the host's CPU count.
 pub const THREADS_GRID: [usize; 3] = [1, 2, 4];
+
+/// [`THREADS_GRID`] capped at `nproc` host CPUs. A row with more workers
+/// than CPUs only time-slices them, so it measures the host's scheduler
+/// rather than the engine, and is dropped — except 1 and 2, which the
+/// sweep's determinism cross-check compares. Returns the kept rows and a
+/// table note naming the dropped ones (`None` when none were dropped).
+pub fn threads_grid(nproc: usize) -> (Vec<usize>, Option<String>) {
+    let (kept, dropped): (Vec<usize>, Vec<usize>) =
+        THREADS_GRID.iter().partition(|&&t| t <= nproc.max(2));
+    let note = (!dropped.is_empty())
+        .then(|| format!("thread counts {dropped:?} skipped: above this host's {nproc} CPU(s)"));
+    (kept, note)
+}
+
 /// Detector the sweep runs under: the paper's preferred sub-blocking,
 /// matching the perf grid's middle column.
 pub const DETECTOR: DetectorKind = DetectorKind::SubBlock(8);
@@ -414,6 +429,15 @@ mod tests {
     use crate::perf::{parse_baseline, parse_history, PerfCell, PerfReport};
     use asf_stats::json::parse;
     use asf_workloads::Scale;
+
+    #[test]
+    fn threads_grid_is_capped_at_nproc_but_keeps_the_cross_check() {
+        assert_eq!(threads_grid(1).0, vec![1, 2]);
+        let (kept, note) = threads_grid(2);
+        assert_eq!(kept, vec![1, 2]);
+        assert!(note.expect("4 is dropped").contains("[4]"));
+        assert_eq!(threads_grid(8), (vec![1, 2, 4], None));
+    }
 
     #[test]
     fn smoke_gate_passes() {

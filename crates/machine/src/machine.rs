@@ -363,9 +363,10 @@ pub struct CommitRecord {
 /// bit-transparent to every statistic — the golden fence pins this.
 #[derive(Debug, Default)]
 pub struct EpochLog {
-    /// Lines whose speculative state went empty→present this epoch, in
-    /// event order (duplicates possible across attempts; the directory
-    /// insert is idempotent).
+    /// Lines that gained speculative state this epoch for the first time
+    /// in the machine's life, in event order. Each line appears at most
+    /// once across all epochs: the directory's sharer bits are never
+    /// cleared, so a later note of the same line would change nothing.
     pub spec_touched: Vec<LineAddr>,
     /// Commit footprints, in commit order (non-decreasing cycle).
     pub commits: Vec<CommitRecord>,
@@ -480,6 +481,10 @@ pub struct Machine {
     epoch: EpochLog,
     /// [`Machine::enable_epoch_log`] was called.
     epoch_on: bool,
+    /// Bit per line id: the line has already been logged in
+    /// `EpochLog::spec_touched` (see [`Machine::log_spec_touched`]).
+    /// Grown on demand, so it stays empty unless `epoch_on`.
+    epoch_noted: Vec<u64>,
     /// Shared progress snapshot, refreshed every
     /// [`crate::snapshot::PUBLISH_EVERY_STEPS`] steps when attached
     /// (hoisted-`Option` pattern like `faults_on`): the serve layer's
@@ -580,6 +585,7 @@ impl Machine {
             monitor: ProgressMonitor::with_system_cores(n, system),
             epoch: EpochLog::default(),
             epoch_on: false,
+            epoch_noted: Vec::new(),
             progress_probe: None,
             cancel: None,
         }
@@ -1714,7 +1720,7 @@ impl Machine {
                     self.spec_dir_mark(lid, who, mask, is_write);
                 }
                 if self.epoch_on && !was_spec {
-                    self.epoch.spec_touched.push(line);
+                    self.log_spec_touched(line, lid);
                 }
             }
             return Ok(lat.l1);
@@ -1793,7 +1799,11 @@ impl Machine {
             if let Some(elid) = ev3 {
                 self.res_drop_if_absent(elid, who);
             }
-            let retained = self.cores[who].caches.retained.remove(&lid);
+            let retained = if self.cores[who].caches.retained.is_empty() {
+                None
+            } else {
+                self.cores[who].caches.retained.remove(&lid)
+            };
             if retained.is_some() {
                 self.obs_with(|o| {
                     let id = o.c.retained_folds;
@@ -1933,6 +1943,23 @@ impl Machine {
             self.spec_dir_mark(lid, who, mask, is_write);
         }
         if self.epoch_on && !was_spec {
+            self.log_spec_touched(line, lid);
+        }
+    }
+
+    /// Log `line` in the epoch outbox the first time it gains speculative
+    /// state on this machine. Later attempts that make it speculative
+    /// again are not logged: the inter-cluster directory already lists
+    /// this shard as a sharer, and it never removes one. Kept out of line
+    /// so the standalone `access_line` pays only the `epoch_on` branch.
+    #[inline(never)]
+    fn log_spec_touched(&mut self, line: LineAddr, lid: LineId) {
+        let (word, bit) = (lid as usize / 64, 1u64 << (lid % 64));
+        if word >= self.epoch_noted.len() {
+            self.epoch_noted.resize(word + 1, 0);
+        }
+        if self.epoch_noted[word] & bit == 0 {
+            self.epoch_noted[word] |= bit;
             self.epoch.spec_touched.push(line);
         }
     }

@@ -14,14 +14,28 @@
 //! boundary — completely independently, touching no shared state — and then
 //! the engine resolves cross-shard traffic at a single-threaded barrier:
 //!
-//! 1. every line that *gained speculative state* this epoch is noted in the
+//! 1. every line that *gained speculative state* is noted in the
 //!    inter-cluster directory (conservative: entries are never removed,
-//!    mirroring HT-Assist's never-cleaned probe filter);
+//!    mirroring HT-Assist's never-cleaned probe filter). A machine logs a
+//!    line only the first time in its life it turns speculative there —
+//!    a second note of the same (line, shard) could change nothing;
 //! 2. every committed write footprint is routed through the directory to
 //!    the other clusters holding (possibly stale) speculative state on the
 //!    line, where it lands as an external invalidating probe and aborts
 //!    conflicting transactions with the same detector mask check — and the
 //!    same true/false-conflict taxonomy — as a local probe.
+//!
+//! ## Threads
+//!
+//! [`ShardEngine::try_run`] starts `worker_threads` scoped threads once per
+//! run; the calling thread runs no shard and only joins (with one worker,
+//! the same loop runs on the calling thread, with no spawn). Worker `w`
+//! owns shards `s ≡ w (mod N)`. After running them to the boundary it
+//! arrives at one `Mutex` + `Condvar`; the *last* worker to arrive leads
+//! the barrier — folds the epoch's times, resolves cross-shard traffic,
+//! picks the next boundary or stops — and then wakes the others once. A
+//! worker that panics wakes the others on its way out, so the panic is
+//! re-raised rather than leaving them at the barrier.
 //!
 //! ## Determinism
 //!
@@ -45,6 +59,7 @@ use crate::hier::{ClusterTopology, DirLatency, InterClusterDirectory};
 use crate::machine::{EpochLog, Machine, SimConfig, SimOutput};
 use crate::txprog::Workload;
 use asf_stats::run::RunStats;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::error::SimError;
@@ -63,8 +78,11 @@ pub struct ShardConfig {
     /// granularity *and* the barrier frequency. Smaller = more faithful +
     /// more barrier overhead.
     pub epoch_cycles: u64,
-    /// OS worker threads driving the shards (`shard s → thread s % N`).
-    /// 1 = the sequential reference; any N is bit-identical to it.
+    /// OS worker threads driving the shards (`shard s → worker s % N`),
+    /// capped at the shard count. They are spawned once per
+    /// [`ShardEngine::try_run`] and live for the whole run; 1 runs every
+    /// shard on the calling thread and is the sequential reference. Any N
+    /// is bit-identical to it.
     pub worker_threads: usize,
     /// Inter-cluster directory latency model (accounted, not simulated:
     /// the cycles accrue in [`ScaleStats`], not in any shard's clock).
@@ -95,9 +113,11 @@ pub const TIMELINE_CAP: usize = 4096;
 pub struct EpochSpan {
     /// The epoch boundary this span ran up to (simulated cycles).
     pub until: u64,
-    /// Wall-clock of the parallel execution phase.
+    /// Wall-clock of the parallel execution phase: from the epoch's
+    /// release to the last worker's arrival.
     pub wall: Duration,
-    /// Wall-clock of the single-threaded barrier that followed.
+    /// Wall-clock of the single-threaded barrier that followed: from the
+    /// last arrival to the next release (or the stop).
     pub barrier: Duration,
     /// Per-worker busy time within this epoch (index = worker id).
     pub busy: Vec<Duration>,
@@ -125,10 +145,12 @@ pub struct ScaleStats {
     pub dir_lines: usize,
     /// Wall-clock spent inside shard execution, per worker thread.
     pub busy: Vec<Duration>,
-    /// Wall-clock of the execution phases (max over workers, summed across
-    /// epochs) — the parallel region's critical path.
+    /// Wall-clock of the execution phases, each from an epoch's release to
+    /// the last worker's arrival at the barrier, summed across epochs —
+    /// the parallel region's critical path, wake-up latency included.
     pub epoch_wall: Duration,
-    /// Wall-clock of the single-threaded barriers.
+    /// Wall-clock of the single-threaded barriers, each from the last
+    /// arrival to the next release.
     pub barrier_wall: Duration,
     /// Per-epoch spans, first [`TIMELINE_CAP`] epochs only.
     pub timeline: Vec<EpochSpan>,
@@ -238,14 +260,81 @@ pub struct ShardOutput {
 
 /// K machines + the inter-cluster directory, driven in lock-step epochs.
 pub struct ShardEngine {
-    shards: Vec<Machine>,
+    /// One machine per cluster. Each is locked only by the worker that
+    /// owns it (`s % N`) while an epoch runs, and only by the barrier
+    /// leader while the others wait, so the locks are never contended.
+    shards: Vec<Mutex<Machine>>,
     topo: ClusterTopology,
+    barrier: Barrier,
+}
+
+/// What the epoch barrier owns: everything the engine has but the machines.
+struct Barrier {
     dir: InterClusterDirectory,
     cfg: ShardConfig,
     /// Parked per-shard log buffers, swapped against each machine's live
     /// outbox at the barrier (no allocation per epoch).
     logs: Vec<EpochLog>,
     scale: ScaleStats,
+}
+
+/// The state the workers of one run share, behind one mutex: where the
+/// run is, who has arrived, and the barrier itself (run by the leader).
+struct EpochSync {
+    /// Boundary of the epoch being run; `None` once the run stops.
+    until: Option<u64>,
+    /// Bumped at every release; a waiting worker wakes when it moves.
+    generation: u64,
+    /// Workers at the barrier in the current epoch.
+    arrived: usize,
+    /// When the current epoch was released.
+    released: Instant,
+    /// Busy time of each worker in the current epoch.
+    busy: Vec<Duration>,
+    /// The watchdog trip of the lowest shard id in the current epoch.
+    error: Option<(usize, SimError)>,
+    /// A worker panicked; every other worker leaves at once.
+    panicked: bool,
+    barrier: Barrier,
+}
+
+/// Lock the run state, ignoring poison: a worker that panics while
+/// leading the barrier poisons it, and the others must still read
+/// `panicked` to leave — it is the only field read after a panic.
+fn lock(sync: &Mutex<EpochSync>) -> MutexGuard<'_, EpochSync> {
+    sync.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Lock one shard's machine. A shard is poisoned only when its owner
+/// panicked mid-epoch; the barrier never runs after that, so no one
+/// locks it again.
+fn machine(m: &Mutex<Machine>) -> MutexGuard<'_, Machine> {
+    m.lock().expect("a shard is not locked after its worker panicked")
+}
+
+/// Releases the other workers if its worker unwinds, so the scope
+/// re-raises the panic instead of deadlocking at the barrier.
+struct ReleaseOnPanic<'a> {
+    sync: &'a Mutex<EpochSync>,
+    cv: &'a Condvar,
+}
+
+impl Drop for ReleaseOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock(self.sync).panicked = true;
+            self.cv.notify_all();
+        }
+    }
+}
+
+/// Next epoch boundary: one past the earliest scheduled event anywhere,
+/// rounded up — empty epochs are skipped entirely, and the boundary is a
+/// pure function of simulated state, so every thread count computes the
+/// same schedule. `None` once every shard is done.
+fn next_until(shards: &[Mutex<Machine>], epoch_cycles: u64) -> Option<u64> {
+    let next = shards.iter().filter_map(|m| machine(m).next_event_clock()).min()?;
+    Some((next / epoch_cycles + 1) * epoch_cycles)
 }
 
 impl ShardEngine {
@@ -265,7 +354,7 @@ impl ShardEngine {
             );
             ClusterTopology::new(cfg.total_cores / cfg.cores_per_cluster, cfg.cores_per_cluster)
         };
-        let shards: Vec<Machine> = (0..topo.clusters)
+        let shards = (0..topo.clusters)
             .map(|s| {
                 let mut c = base;
                 c.machine.cores = topo.cores_per_cluster;
@@ -273,7 +362,7 @@ impl ShardEngine {
                 c.system_cores = topo.total_cores();
                 let mut m = Machine::new(workload, c);
                 m.enable_epoch_log();
-                m
+                Mutex::new(m)
             })
             .collect();
         let logs = (0..topo.clusters).map(|_| EpochLog::default()).collect();
@@ -281,10 +370,12 @@ impl ShardEngine {
         ShardEngine {
             shards,
             topo,
-            dir: InterClusterDirectory::default(),
-            cfg,
-            logs,
-            scale: ScaleStats { busy: vec![Duration::ZERO; workers], ..ScaleStats::default() },
+            barrier: Barrier {
+                dir: InterClusterDirectory::default(),
+                cfg,
+                logs,
+                scale: ScaleStats { busy: vec![Duration::ZERO; workers], ..ScaleStats::default() },
+            },
         }
     }
 
@@ -293,44 +384,45 @@ impl ShardEngine {
         self.topo
     }
 
-    /// Run every shard to completion, epoch by epoch.
-    pub fn try_run(mut self) -> Result<ShardOutput, SimError> {
-        // Next epoch boundary: one past the earliest scheduled event
-        // anywhere, rounded up — empty epochs are skipped entirely, and
-        // the boundary is a pure function of simulated state, so every
-        // thread count computes the same schedule.
-        while let Some(next) = self.shards.iter().filter_map(Machine::next_event_clock).min() {
-            let until = (next / self.cfg.epoch_cycles + 1) * self.cfg.epoch_cycles;
-            let busy_before = self.scale.busy.clone();
-            let wall_before = self.scale.epoch_wall;
-            self.run_epoch_all(until)?;
-            let t0 = Instant::now();
-            self.resolve_barrier(until);
-            let barrier = t0.elapsed();
-            self.scale.barrier_wall += barrier;
-            self.scale.epochs += 1;
-            if self.scale.timeline.len() < TIMELINE_CAP {
-                let busy = self
-                    .scale
-                    .busy
-                    .iter()
-                    .zip(&busy_before)
-                    .map(|(now, before)| now.saturating_sub(*before))
-                    .collect();
-                self.scale.timeline.push(EpochSpan {
-                    until,
-                    wall: self.scale.epoch_wall.saturating_sub(wall_before),
-                    barrier,
-                    busy,
-                });
+    /// Run every shard to completion, epoch by epoch, on `worker_threads`
+    /// workers that live for the whole run (one worker runs on the calling
+    /// thread, with no spawn).
+    pub fn try_run(self) -> Result<ShardOutput, SimError> {
+        let ShardEngine { shards, barrier, .. } = self;
+        let workers = barrier.scale.busy.len();
+        let first = next_until(&shards, barrier.cfg.epoch_cycles);
+        let sync = Mutex::new(EpochSync {
+            until: first,
+            generation: 0,
+            arrived: 0,
+            released: Instant::now(),
+            busy: vec![Duration::ZERO; workers],
+            error: None,
+            panicked: false,
+            barrier,
+        });
+        let cv = Condvar::new();
+        if let Some(until) = first {
+            let work = |w: usize| run_worker(w, workers, until, &shards, &sync, &cv);
+            if workers == 1 {
+                work(0);
             } else {
-                self.scale.timeline_dropped += 1;
+                std::thread::scope(|scope| {
+                    for w in 0..workers {
+                        scope.spawn(move || work(w));
+                    }
+                });
             }
         }
+        let EpochSync { error, barrier, .. } = sync.into_inner().expect("no worker panicked");
+        if let Some((_, e)) = error {
+            return Err(e);
+        }
+        let Barrier { dir, mut scale, .. } = barrier;
         // Finalize each shard (no events left — this only folds counters).
-        let mut outs: Vec<SimOutput> = Vec::with_capacity(self.shards.len());
-        for m in &mut self.shards {
-            outs.push(m.finish()?);
+        let mut outs: Vec<SimOutput> = Vec::with_capacity(shards.len());
+        for m in shards {
+            outs.push(m.into_inner().expect("no worker panicked").finish()?);
         }
         let per_shard_cycles: Vec<u64> = outs.iter().map(|o| o.stats.cycles).collect();
         let mut stats = RunStats::default();
@@ -338,99 +430,124 @@ impl ShardEngine {
             stats.merge(&o.stats);
         }
         stats.cycles = per_shard_cycles.iter().copied().max().unwrap_or(0);
-        self.scale.dir_lookups = self.dir.lookups;
-        self.scale.dir_probes_routed = self.dir.probes_routed;
-        self.scale.dir_latency_cycles = self.dir.latency_cycles;
-        self.scale.dir_lines = self.dir.lines();
-        Ok(ShardOutput { stats, per_shard_cycles, scale: self.scale })
+        scale.dir_lookups = dir.lookups;
+        scale.dir_probes_routed = dir.probes_routed;
+        scale.dir_latency_cycles = dir.latency_cycles;
+        scale.dir_lines = dir.lines();
+        Ok(ShardOutput { stats, per_shard_cycles, scale })
     }
+}
 
-    /// Drive every shard to `until`, on 1..N worker threads. Shards share
-    /// no state during this phase, so the thread count is invisible to the
-    /// simulation; errors (watchdog trips) are reported for the lowest
-    /// shard id, again independent of threading.
-    fn run_epoch_all(&mut self, until: u64) -> Result<(), SimError> {
-        let workers = self.scale.busy.len();
+/// One worker's whole run: drive its fixed shards (`s % workers == w`, a
+/// map that never depends on timing) to `until`, arrive at the barrier,
+/// and either lead it (the last to arrive) or sleep until released.
+/// Errors (watchdog trips) are reported for the lowest shard id, so the
+/// report is independent of threading.
+fn run_worker(
+    w: usize,
+    workers: usize,
+    mut until: u64,
+    shards: &[Mutex<Machine>],
+    sync: &Mutex<EpochSync>,
+    cv: &Condvar,
+) {
+    let _release = ReleaseOnPanic { sync, cv };
+    loop {
         let t0 = Instant::now();
-        if workers <= 1 {
-            let mut first_err = None;
-            for m in &mut self.shards {
-                if let Err(e) = m.run_epoch(until) {
-                    first_err = first_err.or(Some(e));
-                }
+        let mut error = None;
+        for (s, m) in shards.iter().enumerate().skip(w).step_by(workers) {
+            if let Err(e) = machine(m).run_epoch(until) {
+                error = error.or(Some((s, e)));
             }
-            let dt = t0.elapsed();
-            self.scale.busy[0] += dt;
-            self.scale.epoch_wall += dt;
-            return match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
         }
-        // Partition &mut shards into per-worker buckets: shard s → worker
-        // s % workers, a fixed map so shard-to-thread placement never
-        // depends on runtime timing.
-        let mut buckets: Vec<Vec<(usize, &mut Machine)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (s, m) in self.shards.iter_mut().enumerate() {
-            buckets[s % workers].push((s, m));
+        let busy = t0.elapsed();
+        let mut st = lock(sync);
+        if st.panicked {
+            return;
         }
-        let mut results: Vec<(usize, Result<(), SimError>)> = Vec::new();
-        let mut busy: Vec<(usize, Duration)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .enumerate()
-                .map(|(w, bucket)| {
-                    scope.spawn(move || {
-                        let t0 = Instant::now();
-                        let rs: Vec<(usize, Result<(), SimError>)> = bucket
-                            .into_iter()
-                            .map(|(s, m)| (s, m.run_epoch(until).map(|_| ())))
-                            .collect();
-                        (w, rs, t0.elapsed())
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (w, rs, dt) = h.join().expect("shard worker panicked");
-                busy.push((w, dt));
-                results.extend(rs);
+        st.busy[w] = busy;
+        if let Some((s, e)) = error {
+            if st.error.as_ref().is_none_or(|(first, _)| s < *first) {
+                st.error = Some((s, e));
             }
-        });
-        self.scale.epoch_wall += t0.elapsed();
-        for (w, dt) in busy {
-            self.scale.busy[w] += dt;
         }
-        // Lowest shard id wins the error report, whatever thread ran it.
-        results.sort_by_key(|(s, _)| *s);
-        for (_, r) in results {
-            r?;
+        st.arrived += 1;
+        let next = if st.arrived == workers {
+            st.lead(shards);
+            let next = st.until;
+            drop(st);
+            cv.notify_all();
+            next
+        } else {
+            let generation = st.generation;
+            while st.generation == generation && !st.panicked {
+                st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+            if st.panicked {
+                return;
+            }
+            st.until
+        };
+        match next {
+            Some(next) => until = next,
+            None => return,
         }
-        Ok(())
     }
+}
 
+impl EpochSync {
+    /// The last worker to arrive: fold the epoch's times, resolve the
+    /// barrier, pick the next boundary (or stop), and release the epoch.
+    fn lead(&mut self, shards: &[Mutex<Machine>]) {
+        let arrived = Instant::now();
+        let until = self.until.expect("a running epoch has a boundary");
+        self.arrived = 0;
+        self.generation += 1;
+        if self.error.is_some() {
+            self.until = None;
+            return;
+        }
+        self.barrier.resolve(shards, until);
+        self.until = next_until(shards, self.barrier.cfg.epoch_cycles);
+        let released = Instant::now();
+        let (wall, barrier) = (arrived - self.released, released - arrived);
+        self.released = released;
+        let scale = &mut self.barrier.scale;
+        for (total, b) in scale.busy.iter_mut().zip(&self.busy) {
+            *total += *b;
+        }
+        scale.epoch_wall += wall;
+        scale.barrier_wall += barrier;
+        scale.epochs += 1;
+        if scale.timeline.len() < TIMELINE_CAP {
+            scale.timeline.push(EpochSpan { until, wall, barrier, busy: self.busy.clone() });
+        } else {
+            scale.timeline_dropped += 1;
+        }
+    }
+}
+
+impl Barrier {
     /// The single-threaded epoch barrier: drain outboxes, feed the
     /// directory, route committed write footprints as external probes.
     /// Canonical order throughout — ascending shard id, then each shard's
     /// own event order, then ascending target cluster — so the result is a
     /// pure function of the (deterministic) per-shard logs.
-    fn resolve_barrier(&mut self, until: u64) {
-        let mut logs = std::mem::take(&mut self.logs);
-        for (s, log) in logs.iter_mut().enumerate() {
-            self.shards[s].swap_epoch_log(log);
+    fn resolve(&mut self, shards: &[Mutex<Machine>], until: u64) {
+        for (m, log) in shards.iter().zip(self.logs.iter_mut()) {
+            machine(m).swap_epoch_log(log);
         }
         // Pass 1: register this epoch's new speculative lines *before* any
         // routing, so a commit in shard 0 sees speculative state shard 2
         // acquired in the same epoch (conservative ordering: the directory
         // may over-route, never under-route).
-        for (s, log) in logs.iter().enumerate() {
+        for (s, log) in self.logs.iter().enumerate() {
             for &line in &log.spec_touched {
                 self.dir.note(line, s);
             }
         }
         // Pass 2: route committed write footprints.
-        for (s, log) in logs.iter().enumerate() {
+        for (s, log) in self.logs.iter().enumerate() {
             for rec in &log.commits {
                 for &(line, wbits) in &log.commit_lines[rec.start..rec.start + rec.len] {
                     let mut targets = self.dir.route(line, s, self.cfg.dir_latency);
@@ -439,15 +556,14 @@ impl ShardEngine {
                         targets &= targets - 1;
                         self.scale.cross_probes += 1;
                         self.scale.cross_aborts +=
-                            u64::from(self.shards[t].apply_external_probe(line, wbits, until));
+                            u64::from(machine(&shards[t]).apply_external_probe(line, wbits, until));
                     }
                 }
             }
         }
-        for log in logs.iter_mut() {
+        for log in self.logs.iter_mut() {
             log.clear();
         }
-        self.logs = logs;
     }
 }
 

@@ -196,7 +196,7 @@ fn print_golden_stats() {
 // counter fails here.
 // ---------------------------------------------------------------------------
 
-fn run_shard(worker_threads: usize) -> RunStats {
+fn run_shard(worker_threads: usize) -> asf_machine::shard::ShardOutput {
     use asf_machine::hier::DirLatency;
     use asf_machine::shard::{ShardConfig, ShardEngine};
     let w = asf_workloads::streaming::by_name("smoke").expect("smoke preset");
@@ -214,7 +214,6 @@ fn run_shard(worker_threads: usize) -> RunStats {
     )
     .try_run()
     .expect("huge-tier golden run completes")
-    .stats
 }
 
 /// Expected (digest, key) of the huge-tier cell — identical for the
@@ -223,24 +222,67 @@ const EXPECTED_SHARD: (u64, Key) = (0x9ce664e0ce98b5a6, (689, 0, 0, 0, 1952, 287
 
 #[test]
 fn golden_stats_shard_sequential() {
-    let stats = run_shard(1);
+    let stats = run_shard(1).stats;
     assert_eq!(key(&stats), EXPECTED_SHARD.1, "huge-tier key counters drifted (sequential)");
     assert_eq!(digest(&stats), EXPECTED_SHARD.0, "huge-tier digest drifted (sequential)");
 }
 
 #[test]
 fn golden_stats_shard_parallel() {
-    let stats = run_shard(4);
+    let stats = run_shard(4).stats;
     assert_eq!(key(&stats), EXPECTED_SHARD.1, "huge-tier key counters drifted (4 workers)");
     assert_eq!(digest(&stats), EXPECTED_SHARD.0, "huge-tier digest drifted (4 workers)");
 }
 
-/// Prints the huge-tier actuals; used to (re)baseline `EXPECTED_SHARD`.
+/// Prints the huge-tier actuals; used to (re)baseline `EXPECTED_SHARD`
+/// and `EXPECTED_SHARD_SCALE`.
 #[test]
 #[ignore = "baseline capture helper, run with --ignored --nocapture"]
 fn print_golden_shard_stats() {
-    let stats = run_shard(1);
-    println!("    ({:#018x}, {:?})", digest(&stats), key(&stats));
+    let out = run_shard(1);
+    println!("    ({:#018x}, {:?})", digest(&out.stats), key(&out.stats));
+    println!("    {:?}", scale_key(&out.scale));
+}
+
+/// The huge-tier cell's cross-shard counters: (epochs, cross_probes,
+/// cross_aborts, dir_lookups, dir_probes_routed, dir_latency_cycles,
+/// dir_lines). `RunStats` does not see directory routing, so these pin
+/// the barrier's note/route passes themselves.
+type ScaleKey = (u64, u64, u64, u64, u64, u64, usize);
+
+fn scale_key(s: &asf_machine::shard::ScaleStats) -> ScaleKey {
+    (
+        s.epochs,
+        s.cross_probes,
+        s.cross_aborts,
+        s.dir_lookups,
+        s.dir_probes_routed,
+        s.dir_latency_cycles,
+        s.dir_lines,
+    )
+}
+
+/// Expected `ScaleKey` of the huge-tier cell, for every thread count.
+const EXPECTED_SHARD_SCALE: ScaleKey = (5, 19, 0, 1374, 19, 84720, 1739);
+
+#[test]
+fn golden_scale_stats_shard_sequential() {
+    let out = run_shard(1);
+    assert_eq!(
+        scale_key(&out.scale),
+        EXPECTED_SHARD_SCALE,
+        "huge-tier ScaleStats drifted (sequential)"
+    );
+}
+
+#[test]
+fn golden_scale_stats_shard_parallel() {
+    let out = run_shard(4);
+    assert_eq!(
+        scale_key(&out.scale),
+        EXPECTED_SHARD_SCALE,
+        "huge-tier ScaleStats drifted (4 workers)"
+    );
 }
 
 // ---------------------------------------------------------------------------

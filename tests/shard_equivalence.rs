@@ -12,9 +12,16 @@
 
 use asf_core::detector::DetectorKind;
 use asf_machine::hier::DirLatency;
-use asf_machine::machine::{Machine, SimConfig};
+use asf_machine::machine::{EpochLog, Machine, SimConfig};
 use asf_machine::shard::{ShardConfig, ShardEngine, ShardOutput};
+use asf_machine::txprog::{FnWorkload, ScriptedProgram, ThreadProgram, TxAttempt, TxOp, WorkItem};
+use asf_machine::SimError;
+use asf_mem::addr::Addr;
 use asf_workloads::streaming::{StreamSpec, StreamWorkload};
+use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// A quick streaming mix: every pool class exercised (private, cluster,
 /// global) so cross-shard routing actually fires, but small enough for a
@@ -32,6 +39,16 @@ fn run_sharded(
     threads: usize,
 ) -> ShardOutput {
     let base = SimConfig::paper_seeded(det, seed);
+    try_run_sharded(w, base, total, per_cluster, threads).expect("sharded run completes")
+}
+
+fn try_run_sharded(
+    w: &dyn asf_machine::Workload,
+    base: SimConfig,
+    total: usize,
+    per_cluster: usize,
+    threads: usize,
+) -> Result<ShardOutput, SimError> {
     ShardEngine::new(
         w,
         base,
@@ -44,7 +61,6 @@ fn run_sharded(
         },
     )
     .try_run()
-    .expect("sharded run completes")
 }
 
 #[test]
@@ -112,4 +128,134 @@ fn huge_idle_heavy_run_does_not_trip_the_watchdog() {
     // 16 clusters all ran to their own completion.
     assert_eq!(out.per_shard_cycles.len(), 16);
     assert!(out.per_shard_cycles.iter().all(|&c| c > 0));
+}
+
+/// Run `f` on a helper thread and return how it ended (value or panic),
+/// failing the test if it has not ended within a minute: a barrier that
+/// loses a worker must not hang the suite.
+fn finishes<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> std::thread::Result<T> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+    });
+    rx.recv_timeout(Duration::from_secs(60)).expect("the shard engine hung")
+}
+
+/// A watchdog trip inside an epoch ends the run with the error of the
+/// lowest tripping shard id, whatever the worker count.
+#[test]
+fn watchdog_trip_reports_the_same_error_for_every_worker_count() {
+    let outcome = |threads: usize| {
+        finishes(move || {
+            let w = StreamWorkload::new("smoke", quick_spec());
+            let mut base = SimConfig::paper_seeded(DetectorKind::SubBlock(4), 0x5EED);
+            base.max_steps = 300;
+            match try_run_sharded(&w, base, 16, 4, threads) {
+                Ok(_) => panic!("a 300-step budget must trip the watchdog"),
+                Err(e) => format!("{e:?}"),
+            }
+        })
+        .expect("a watchdog trip is an error, not a panic")
+    };
+    let seq = outcome(1);
+    assert!(seq.starts_with("Watchdog"), "{seq}");
+    for threads in [2, 3] {
+        assert_eq!(outcome(threads), seq, "{threads} workers reported a different trip");
+    }
+}
+
+/// Yields a few short transactions, then panics: a bug in one shard's
+/// program.
+struct PanicsAfter(u32);
+
+impl ThreadProgram for PanicsAfter {
+    fn next_item(&mut self) -> Option<WorkItem> {
+        assert!(self.0 > 0, "injected program panic");
+        self.0 -= 1;
+        Some(WorkItem::Tx(TxAttempt::new(vec![
+            TxOp::Write { addr: Addr(0x40_0000), size: 8, value: 1 },
+            TxOp::Compute { cycles: 2000 },
+        ])))
+    }
+}
+
+/// A program that panics on one shard must re-raise the panic from
+/// `try_run`, not leave the other workers waiting at the barrier.
+#[test]
+fn program_panic_on_one_shard_is_reraised() {
+    for threads in [1, 2, 3] {
+        let ended = finishes(move || {
+            let w = FnWorkload {
+                name: "panics",
+                spawn_fn: |tid: usize, _threads: usize, _seed: u64| -> Box<dyn ThreadProgram> {
+                    if tid == 9 {
+                        return Box::new(PanicsAfter(5));
+                    }
+                    let addr = Addr(0x1000 + tid as u64 * 64);
+                    let work = (0..20)
+                        .map(|i| {
+                            WorkItem::Tx(TxAttempt::new(vec![
+                                TxOp::Write { addr, size: 8, value: i },
+                                TxOp::Compute { cycles: 500 },
+                            ]))
+                        })
+                        .collect();
+                    Box::new(ScriptedProgram::new(work))
+                },
+            };
+            let base = SimConfig::paper_seeded(DetectorKind::SubBlock(4), 1);
+            try_run_sharded(&w, base, 16, 4, threads).map(|_| ())
+        });
+        assert!(ended.is_err(), "{threads} worker(s): the panic must propagate");
+    }
+}
+
+/// Each machine logs a line in `EpochLog::spec_touched` only the first
+/// time it ever gains speculative state there: aborted and retried
+/// attempts re-mark lines, but the inter-cluster directory already lists
+/// the shard, so the line is not logged again.
+#[test]
+fn no_shard_logs_a_spec_touched_line_twice() {
+    // Hot 16-slot cluster pools: cores of one shard keep conflicting, so
+    // retried attempts re-mark the same lines epoch after epoch.
+    let (total, per_cluster, epoch) = (16, 4, 512u64);
+    let spec = StreamSpec {
+        cluster_update_pct: 60,
+        slots_per_pool: 16,
+        cores_per_cluster: per_cluster,
+        ..quick_spec()
+    };
+    let w = StreamWorkload::new("smoke", spec);
+    let mut shards: Vec<Machine> = (0..total / per_cluster)
+        .map(|s| {
+            let mut c = SimConfig::paper_seeded(DetectorKind::Baseline, 0xD0);
+            c.machine.cores = per_cluster;
+            c.tid_base = s * per_cluster;
+            c.system_cores = total;
+            let mut m = Machine::new(&w, c);
+            m.enable_epoch_log();
+            m
+        })
+        .collect();
+    let mut seen: Vec<HashSet<u64>> = vec![HashSet::new(); shards.len()];
+    let mut log = EpochLog::default();
+    let mut epochs = 0;
+    while let Some(next) = shards.iter().filter_map(Machine::next_event_clock).min() {
+        let until = (next / epoch + 1) * epoch;
+        for (s, m) in shards.iter_mut().enumerate() {
+            m.run_epoch(until).expect("epoch runs");
+            m.swap_epoch_log(&mut log);
+            for line in &log.spec_touched {
+                assert!(seen[s].insert(line.0), "shard {s} logged line {:#x} twice", line.0);
+            }
+        }
+        epochs += 1;
+    }
+    let aborted: u64 = shards
+        .iter_mut()
+        .map(|m| m.finish().expect("finish").stats.tx_aborted)
+        .sum();
+    assert!(epochs >= 3, "the run must span several epochs: {epochs}");
+    assert!(aborted > 0, "retried attempts must re-mark lines for the check to bite");
+    assert!(seen.iter().all(|lines| !lines.is_empty()));
 }
