@@ -5,11 +5,12 @@
 //! Two levels:
 //!
 //! * `dir_drain/<clusters>` — the barrier's directory work in isolation:
-//!   pass 1 notes every line that gained speculative state this epoch,
-//!   pass 2 routes each committed write footprint and walks the returned
-//!   target bitmask — exactly the shape of the engine's barrier, minus
-//!   the per-target probe delivery into a live machine. A machine logs a
-//!   line for pass 1 only the first time in its life it gains speculative
+//!   pass 1 notes every line that gained speculative state this epoch and
+//!   files the returned directory id under the shard's own line id, pass 2
+//!   routes each committed write footprint by that id and walks the
+//!   returned target bitmask — exactly the shape of the engine's barrier,
+//!   minus the push into each target shard's inbox. A machine logs a line
+//!   for pass 1 only the first time in its life it gains speculative
 //!   state, so in a real run the notes thin out after the first epochs;
 //!   the fixed synthetic logs here are that early, note-heavy case.
 //! * `engine/<threads>` — a complete 32-core / 2-shard streaming run end to
@@ -25,6 +26,7 @@ use asf_machine::hier::{DirLatency, InterClusterDirectory};
 use asf_machine::machine::SimConfig;
 use asf_machine::shard::{ShardConfig, ShardEngine};
 use asf_mem::addr::{Addr, LineAddr};
+use asf_mem::intern::LineId;
 use asf_mem::rng::SimRng;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -36,35 +38,45 @@ const TOUCHED_PER_CLUSTER: usize = 128;
 /// Distinct lines in the synthetic working set.
 const LINES: u64 = 1024;
 
-fn line(rng: &mut SimRng) -> LineAddr {
-    Addr(rng.below(LINES) * 64).line()
+/// A line of the working set, with the id a machine would intern it as
+/// (here simply its index).
+fn line(rng: &mut SimRng) -> (LineAddr, LineId) {
+    let n = rng.below(LINES);
+    (Addr(n * 64).line(), n as LineId)
 }
 
-/// Pre-generated per-cluster epoch logs: (spec_touched, committed lines).
-fn logs(clusters: usize, seed: u64) -> Vec<(Vec<LineAddr>, Vec<LineAddr>)> {
+/// One cluster's epoch log: lines noted, then committed line ids. Every
+/// committed line is among the noted ones, as in a real machine.
+type Log = (Vec<(LineAddr, LineId)>, Vec<LineId>);
+
+/// Pre-generated per-cluster epoch logs.
+fn logs(clusters: usize, seed: u64) -> Vec<Log> {
     let mut rng = SimRng::seed_from_u64(seed);
     (0..clusters)
         .map(|_| {
-            let touched = (0..TOUCHED_PER_CLUSTER).map(|_| line(&mut rng)).collect();
-            let commits = (0..COMMITS_PER_CLUSTER).map(|_| line(&mut rng)).collect();
+            let touched: Vec<_> = (0..TOUCHED_PER_CLUSTER).map(|_| line(&mut rng)).collect();
+            let commits = (0..COMMITS_PER_CLUSTER)
+                .map(|_| touched[rng.below_usize(touched.len())].1)
+                .collect();
             (touched, commits)
         })
         .collect()
 }
 
-/// One barrier's directory drain in canonical order: all notes, then all
-/// routes, walking each target mask ascending.
-fn drain(dir: &mut InterClusterDirectory, logs: &[(Vec<LineAddr>, Vec<LineAddr>)]) -> u64 {
+/// One barrier's directory drain in canonical order: all notes (filing
+/// each directory id under the cluster's line id), then all routes by id,
+/// walking each target mask ascending.
+fn drain(dir: &mut InterClusterDirectory, ids: &mut [Vec<u32>], logs: &[Log]) -> u64 {
     let lat = DirLatency::opteron_like();
-    for (s, (touched, _)) in logs.iter().enumerate() {
-        for &l in touched {
-            dir.note(l, s);
+    for (s, ((touched, _), ids)) in logs.iter().zip(ids.iter_mut()).enumerate() {
+        for &(l, lid) in touched {
+            ids[lid as usize] = dir.note(l, s);
         }
     }
     let mut delivered: u64 = 0;
-    for (s, (_, commits)) in logs.iter().enumerate() {
-        for &l in commits {
-            let mut targets = dir.route(l, s, lat);
+    for (s, ((_, commits), ids)) in logs.iter().zip(ids.iter()).enumerate() {
+        for &lid in commits {
+            let mut targets = dir.route(ids[lid as usize], s, lat);
             while targets != 0 {
                 let t = targets.trailing_zeros() as u64;
                 targets &= targets - 1;
@@ -82,8 +94,9 @@ fn bench_epoch_barrier(c: &mut Criterion) {
         // Persistent directory across iterations, like across real epochs:
         // steady-state drains hit an already-populated sharer map.
         let mut dir = InterClusterDirectory::new();
+        let mut ids = vec![vec![0u32; LINES as usize]; clusters];
         g.bench_function(format!("dir_drain/{clusters}"), |b| {
-            b.iter(|| black_box(drain(&mut dir, &data)))
+            b.iter(|| black_box(drain(&mut dir, &mut ids, &data)))
         });
     }
     let preset = asf_workloads::streaming::by_name("smoke").expect("smoke preset");

@@ -70,6 +70,25 @@ impl CoreCaches {
         }
     }
 
+    /// The core's speculative `(read, write)` byte masks for the line: its
+    /// live L1 record ORed with its retained entry. This union is the
+    /// state every remote conflict check reads; dirty bits are left out,
+    /// as they are local-only.
+    #[inline]
+    pub fn spec_masks(&self, lid: LineId) -> (u64, u64) {
+        let (mut r, mut w) = self
+            .l1
+            .peek(lid)
+            .map_or((0, 0), |m| (m.spec.read_mask.0, m.spec.write_mask.0));
+        if !self.retained.is_empty() {
+            if let Some(ret) = self.retained.get(&lid) {
+                r |= ret.read_mask.0;
+                w |= ret.write_mask.0;
+            }
+        }
+        (r, w)
+    }
+
     /// Record that the line now carries speculative state.
     ///
     /// The caller must guarantee the line is not already tracked — the
@@ -143,7 +162,7 @@ impl CoreCaches {
 
     /// Clear one line's speculative state: the live L1 record and any
     /// retained entry. Teardown is driven line-by-line from the tracked
-    /// spec-line list so the machine can retire its spec-directory column in
+    /// spec-line list so the machine can retire its spec-directory bit in
     /// the same walk; the retained table is drained per-line (never
     /// `clear()`ed), which keeps its capacity pooled across attempts.
     ///
@@ -276,9 +295,16 @@ impl DirLatency {
 /// not observe. Over-approximation only routes extra probes (counted, and
 /// answered "no conflict"); it can never miss a cluster whose speculative
 /// state matters, which is the soundness half the determinism fence pins.
+///
+/// Lines are keyed once, at [`note`](Self::note), which hands back a
+/// dense *directory id*; [`route`](Self::route) takes that id, so routing
+/// a committed line is an array load, not a hash probe.
 #[derive(Debug, Default)]
 pub struct InterClusterDirectory {
-    sharers: FxHashMap<LineAddr, u64>,
+    /// Directory id of every noted line.
+    ids: FxHashMap<LineAddr, u32>,
+    /// Sharer-cluster bitmask, indexed by directory id.
+    sharers: Vec<u64>,
     /// Directory lookups served (one per committed-line footprint).
     pub lookups: u64,
     /// Cross-cluster probes routed to sharing clusters.
@@ -293,21 +319,29 @@ impl InterClusterDirectory {
         InterClusterDirectory::default()
     }
 
-    /// Note that `cluster` now holds speculative state for `line`.
+    /// Note that `cluster` now holds speculative state for `line`, and
+    /// return the line's directory id: assigned densely on the line's
+    /// first note, the same for every later one.
     #[inline]
-    pub fn note(&mut self, line: LineAddr, cluster: usize) {
-        *self.sharers.entry(line).or_insert(0) |= 1u64 << cluster;
+    pub fn note(&mut self, line: LineAddr, cluster: usize) -> u32 {
+        let next = self.sharers.len() as u32;
+        let id = *self.ids.entry(line).or_insert(next);
+        if id == next {
+            self.sharers.push(0);
+        }
+        self.sharers[id as usize] |= 1u64 << cluster;
+        id
     }
 
-    /// Route one committed-write footprint for `line` from `from_cluster`:
-    /// returns the bitmask of *other* clusters that may hold speculative
-    /// state for the line, charging the lookup and one hop per routed
-    /// target to the occupancy budget.
-    pub fn route(&mut self, line: LineAddr, from_cluster: usize, lat: DirLatency) -> u64 {
+    /// Route one committed-write footprint for the line with directory id
+    /// `id` from `from_cluster`: returns the bitmask of *other* clusters
+    /// that may hold speculative state for the line, charging the lookup
+    /// and one hop per routed target to the occupancy budget.
+    #[inline]
+    pub fn route(&mut self, id: u32, from_cluster: usize, lat: DirLatency) -> u64 {
         self.lookups += 1;
         self.latency_cycles += lat.lookup;
-        let targets =
-            self.sharers.get(&line).copied().unwrap_or(0) & !(1u64 << from_cluster);
+        let targets = self.sharers[id as usize] & !(1u64 << from_cluster);
         let hops = targets.count_ones() as u64;
         self.probes_routed += hops;
         self.latency_cycles += lat.probe_hop * hops;
@@ -484,17 +518,68 @@ mod tests {
     fn directory_routes_to_other_sharers_only() {
         let lat = DirLatency { lookup: 10, probe_hop: 100 };
         let mut d = InterClusterDirectory::new();
-        // Unknown line: lookup charged, nothing routed.
-        assert_eq!(d.route(line(1), 0, lat), 0);
+        // A line only its own cluster shares: lookup charged, nothing routed.
+        let solo = d.note(line(9), 3);
+        assert_eq!(d.route(solo, 3, lat), 0);
         assert_eq!((d.lookups, d.probes_routed, d.latency_cycles), (1, 0, 10));
-        d.note(line(1), 0);
+        let id = d.note(line(1), 0);
         d.note(line(1), 2);
         d.note(line(1), 5);
-        assert_eq!(d.lines(), 1);
+        assert_eq!(d.lines(), 2);
         // From cluster 0: clusters 2 and 5 are targets, never the origin.
-        assert_eq!(d.route(line(1), 0, lat), (1 << 2) | (1 << 5));
+        assert_eq!(d.route(id, 0, lat), (1 << 2) | (1 << 5));
         assert_eq!((d.lookups, d.probes_routed, d.latency_cycles), (2, 2, 220));
         // Conservative: sharers are never dropped.
-        assert_eq!(d.route(line(1), 2, lat), 1 | (1 << 5));
+        assert_eq!(d.route(id, 2, lat), 1 | (1 << 5));
+    }
+
+    #[test]
+    fn directory_ids_are_dense_and_stable() {
+        let mut d = InterClusterDirectory::new();
+        let ids: Vec<u32> = [4, 7, 4, 1, 7].iter().map(|&n| d.note(line(n), 0)).collect();
+        // First sight assigns the next id; a repeated line keeps its own.
+        assert_eq!(ids, vec![0, 1, 0, 2, 1]);
+        assert_eq!(d.lines(), 3);
+        // A note from another cluster adds a sharer, not an id.
+        assert_eq!(d.note(line(7), 6), 1);
+        assert_eq!(d.lines(), 3);
+    }
+
+    #[test]
+    fn repeated_notes_are_idempotent() {
+        let lat = DirLatency::opteron_like();
+        let mut once = InterClusterDirectory::new();
+        let mut twice = InterClusterDirectory::new();
+        for c in [1, 4] {
+            once.note(line(2), c);
+            twice.note(line(2), c);
+            twice.note(line(2), c);
+        }
+        assert_eq!(once.lines(), twice.lines());
+        for from in 0..6 {
+            assert_eq!(once.route(0, from, lat), twice.route(0, from, lat));
+        }
+    }
+
+    #[test]
+    fn route_by_id_is_the_sharer_set_minus_the_sender() {
+        let lat = DirLatency::opteron_like();
+        let mut rng = asf_mem::rng::SimRng::seed_from_u64(0xD1);
+        let mut d = InterClusterDirectory::new();
+        // Reference model: a plain sharer set per line.
+        let mut truth = std::collections::HashMap::<u64, u64>::new();
+        let mut id_of = std::collections::HashMap::<u64, u32>::new();
+        for _ in 0..500 {
+            let (n, c) = (rng.below(40), rng.below(16) as usize);
+            let id = d.note(line(n), c);
+            assert_eq!(*id_of.entry(n).or_insert(id), id, "line {n} changed id");
+            *truth.entry(n).or_insert(0) |= 1 << c;
+        }
+        assert_eq!(d.lines(), truth.len());
+        for (&n, &set) in &truth {
+            for from in 0..16 {
+                assert_eq!(d.route(id_of[&n], from, lat), set & !(1u64 << from));
+            }
+        }
     }
 }

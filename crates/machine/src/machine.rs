@@ -335,21 +335,6 @@ struct ProbeSummary {
     piggyback: AccessMask,
 }
 
-/// One committed transaction's write footprint in an [`EpochLog`]: a range
-/// of `(line, write mask)` entries in the log's flat `commit_lines` store
-/// (flattened so a million-commit epoch makes zero per-commit allocations).
-#[derive(Clone, Copy, Debug)]
-pub struct CommitRecord {
-    /// Commit cycle (shard-local clock).
-    pub cycle: u64,
-    /// Committing core (machine-local id).
-    pub core: usize,
-    /// First entry in [`EpochLog::commit_lines`].
-    pub start: usize,
-    /// Number of written lines.
-    pub len: usize,
-}
-
 /// Per-epoch outbox a machine fills when epoch logging is enabled
 /// ([`Machine::enable_epoch_log`]) — the raw material of the shard engine's
 /// epoch barrier (DESIGN.md §15).
@@ -364,27 +349,28 @@ pub struct CommitRecord {
 #[derive(Debug, Default)]
 pub struct EpochLog {
     /// Lines that gained speculative state this epoch for the first time
-    /// in the machine's life, in event order. Each line appears at most
-    /// once across all epochs: the directory's sharer bits are never
-    /// cleared, so a later note of the same line would change nothing.
-    pub spec_touched: Vec<LineAddr>,
-    /// Commit footprints, in commit order (non-decreasing cycle).
-    pub commits: Vec<CommitRecord>,
-    /// Flat `(line, write-mask bits)` store the commit records index.
-    pub commit_lines: Vec<(LineAddr, u64)>,
+    /// in the machine's life, with their machine-local ids, in event
+    /// order. Each line appears at most once across all epochs: the
+    /// directory's sharer bits are never cleared, so a later note of the
+    /// same line would change nothing.
+    pub spec_touched: Vec<(LineAddr, LineId)>,
+    /// Committed write footprints as `(line, machine-local id, write-mask
+    /// bits)`, in commit order and, within a commit, in the committer's
+    /// spec-line order. A committed written line was speculative here, so
+    /// its id appeared in `spec_touched` in this epoch or an earlier one.
+    pub commit_lines: Vec<(LineAddr, LineId, u64)>,
 }
 
 impl EpochLog {
     /// Forget all records, keeping buffer capacity for the next epoch.
     pub fn clear(&mut self) {
         self.spec_touched.clear();
-        self.commits.clear();
         self.commit_lines.clear();
     }
 
     /// Nothing recorded this epoch?
     pub fn is_empty(&self) -> bool {
-        self.spec_touched.is_empty() && self.commits.is_empty()
+        self.spec_touched.is_empty() && self.commit_lines.is_empty()
     }
 }
 
@@ -444,21 +430,18 @@ pub struct Machine {
     /// `min_by_key` scan produced. Valid because a core's clock only ever
     /// changes during its own turn, which ends by re-keying it.
     runq: RunQueue,
-    /// Global speculative-state directory, struct-of-arrays: bit `v` of
-    /// `spec_cores[lid]` iff core `v` holds live-or-retained speculative
-    /// state for the line, with its raw byte `(read, write)` masks at
-    /// `spec_masks[lid * n_cores + v]`. Written only on a line's
-    /// speculative mask growth ([`Self::mark_spec`]) and cleared
-    /// column-wise at commit/abort teardown — every other metadata
-    /// movement (invalidate with retention, signature-mode L1 eviction to
+    /// Global speculative-state directory, indexed by line id: bit `v` is
+    /// set iff core `v` holds live-or-retained speculative state for the
+    /// line. The masks themselves live where the paper keeps them, in the
+    /// caches: a flagged core's `(read, write)` bits are its L1 record
+    /// ORed with its retained entry ([`CoreCaches::spec_masks`]). A bit is
+    /// set on a line's speculative mask growth ([`Self::mark_spec`]) and
+    /// cleared at commit/abort teardown — every other metadata movement
+    /// (invalidate with retention, signature-mode L1 eviction to
     /// `retained`, fold-back on refetch) preserves the per-(line, core)
-    /// union, so no update is needed there. Purely a read-path index: all
+    /// union, so no update is needed there. Purely a read-path filter: all
     /// reported statistics are bit-identical with `exhaustive_spec_walk`.
     spec_cores: Vec<u64>,
-    /// Per-(line, core) raw `(read_bits, write_bits)` masks; see
-    /// [`Machine::spec_cores`]. Dirty bits are deliberately absent: they
-    /// are local-only state, invisible to remote conflict checks.
-    spec_masks: Vec<(u64, u64)>,
     /// Pooled scratch buffers for the probe and teardown hot paths.
     arena: ProbeArena,
     /// Fault-injection RNG: a dedicated stream derived from the seed, so
@@ -577,7 +560,6 @@ impl Machine {
             writers: Vec::new(),
             runq,
             spec_cores: Vec::new(),
-            spec_masks: Vec::new(),
             arena: ProbeArena::new(),
             fault_rng: SimRng::derive(cfg.seed, FAULT_RNG_STREAM + cfg.tid_base as u64),
             faults_on: cfg.faults.enabled(),
@@ -602,8 +584,6 @@ impl Machine {
             self.residency.push(0);
             self.writers.push(0);
             self.spec_cores.push(0);
-            self.spec_masks
-                .resize(self.spec_masks.len() + self.cores.len(), (0, 0));
         }
         lid
     }
@@ -642,29 +622,19 @@ impl Machine {
     // Speculative-state directory maintenance
     // ------------------------------------------------------------------
 
-    /// OR `mask` into `who`'s directory column for the line. Called only
-    /// when the core's *live* mask actually grows (the caller pre-checks),
-    /// so most marks on warm lines skip even the array store.
+    /// Flag `who` in the line's directory row. Called only when the
+    /// core's *live* mask actually grows (the caller pre-checks), so most
+    /// marks on warm lines skip even the array store.
     #[inline]
-    fn spec_dir_mark(&mut self, lid: LineId, who: usize, mask: AccessMask, is_write: bool) {
+    fn spec_dir_mark(&mut self, lid: LineId, who: usize) {
         self.spec_cores[lid as usize] |= 1 << who;
-        let slot = &mut self.spec_masks[lid as usize * self.cores.len() + who];
-        if is_write {
-            slot.1 |= mask.0;
-        } else {
-            slot.0 |= mask.0;
-        }
     }
 
-    /// Retire `who`'s directory column for the line (commit/abort
+    /// Retire `who`'s bit in the line's directory row (commit/abort
     /// teardown).
     #[inline]
     fn spec_dir_clear(&mut self, lid: LineId, who: usize) {
-        let row = &mut self.spec_cores[lid as usize];
-        if *row & (1 << who) != 0 {
-            *row &= !(1 << who);
-            self.spec_masks[lid as usize * self.cores.len() + who] = (0, 0);
-        }
+        self.spec_cores[lid as usize] &= !(1 << who);
     }
 
     /// Probe-filter: note that `who` may now cache the line.
@@ -1056,7 +1026,6 @@ impl Machine {
         let mask = AccessMask(wmask);
         let kind = ProbeKind::Invalidating;
         let probe_coarse = detector.coarsen(mask).0;
-        let n = self.cores.len();
         // Two-phase, like `probe_others`: read-only verdict pass over the
         // spec-directory row, then application in ascending core order.
         let mut verdicts = self.arena.checkout_verdicts();
@@ -1067,7 +1036,7 @@ impl Machine {
             if !self.cores[v].in_running_tx() {
                 continue;
             }
-            let (r, w) = self.spec_masks[lid as usize * n + v];
+            let (r, w) = self.cores[v].caches.spec_masks(lid);
             verdicts.push((v, detector.check_probe_masks(r, w, kind, mask, probe_coarse)));
         }
         let mut aborted = 0;
@@ -1395,7 +1364,7 @@ impl Machine {
         self.emit(TraceEvent::TxCommit { core: who, cycle });
         self.cores[who].writeset.publish(&mut self.memory);
         if self.epoch_on {
-            self.log_commit_footprint(who, cycle);
+            self.log_commit_footprint(who);
         }
         self.clear_spec_state(who, false);
         self.monitor.note_commit(who, self.steps);
@@ -1420,18 +1389,13 @@ impl Machine {
     /// one entry per written line, so the shard barrier can route it to
     /// other clusters as external probes. Pure logging: no stats, no
     /// clocks, no RNG.
-    fn log_commit_footprint(&mut self, who: usize, cycle: u64) {
-        let n = self.cores.len();
-        let start = self.epoch.commit_lines.len();
-        for &lid in &self.cores[who].caches.spec_lines {
-            let (_r, w) = self.spec_masks[lid as usize * n + who];
+    fn log_commit_footprint(&mut self, who: usize) {
+        let caches = &self.cores[who].caches;
+        for &lid in &caches.spec_lines {
+            let (_r, w) = caches.spec_masks(lid);
             if w != 0 {
-                self.epoch.commit_lines.push((self.intern.line(lid), w));
+                self.epoch.commit_lines.push((self.intern.line(lid), lid, w));
             }
-        }
-        let len = self.epoch.commit_lines.len() - start;
-        if len != 0 {
-            self.epoch.commits.push(CommitRecord { cycle, core: who, start, len });
         }
     }
 
@@ -1717,7 +1681,7 @@ impl Machine {
                     core.caches.note_spec_line(lid);
                 }
                 if grows {
-                    self.spec_dir_mark(lid, who, mask, is_write);
+                    self.spec_dir_mark(lid, who);
                 }
                 if self.epoch_on && !was_spec {
                     self.log_spec_touched(line, lid);
@@ -1834,7 +1798,7 @@ impl Machine {
                     // speculative lines (signatures still detect them).
                     // The line is already on the spec-line list (it was
                     // marked by this attempt) and its live+retained union —
-                    // hence its directory column — is unchanged.
+                    // hence its directory bit — is unchanged.
                     if sig_mode && evicted.meta.spec.is_speculative() {
                         self.cores[who]
                             .caches
@@ -1908,9 +1872,9 @@ impl Machine {
 
     /// Record speculative access bits on a resident line, keeping the
     /// spec-line list (pushed exactly once, on the line's empty→speculative
-    /// transition) and the speculative-state directory (updated only when
-    /// the live mask actually grows — covered bits are already in the
-    /// directory's live+retained union) in sync.
+    /// transition) and the speculative-state directory (flagged only when
+    /// the live mask actually grows — a line with covered bits is already
+    /// flagged) in sync.
     fn mark_spec(&mut self, who: usize, line: LineAddr, lid: LineId, mask: AccessMask, is_write: bool) {
         let core = &mut self.cores[who];
         let meta = core
@@ -1940,7 +1904,7 @@ impl Machine {
             core.caches.note_spec_line(lid);
         }
         if grows {
-            self.spec_dir_mark(lid, who, mask, is_write);
+            self.spec_dir_mark(lid, who);
         }
         if self.epoch_on && !was_spec {
             self.log_spec_touched(line, lid);
@@ -1960,7 +1924,7 @@ impl Machine {
         }
         if self.epoch_noted[word] & bit == 0 {
             self.epoch_noted[word] |= bit;
-            self.epoch.spec_touched.push(line);
+            self.epoch.spec_touched.push((line, lid));
         }
     }
 
@@ -2009,15 +1973,16 @@ impl Machine {
     /// (live + retained) speculative state for the line — the per-probe
     /// victim view the conflict checks run against.
     ///
-    /// Default: **one** spec-directory lookup plus bit ops; the directory
-    /// column *is* the live+retained union, byte-exact, with dirty bits
-    /// excluded (they are local-only and ignored by `check_probe` and the
-    /// `is_true` oracle). Under `exhaustive_spec_walk`: the pre-directory
+    /// Default: **one** spec-directory row lookup plus bit ops, then each
+    /// flagged core's live+retained masks from its caches
+    /// ([`CoreCaches::spec_masks`]), with dirty bits excluded (they are
+    /// local-only and ignored by `check_probe` and the `is_true` oracle).
+    /// Under `exhaustive_spec_walk`: the pre-directory
     /// behaviour — walk each candidate target's L1 and retained table.
     /// Both paths produce identical snapshots; equivalence tests prove it.
     ///
     /// Snapshotting *before* the probe loop is also what makes mid-loop
-    /// victim teardown sound: `abort_victim` mutates the directory, but
+    /// victim teardown sound: `abort_victim` mutates the caches, but
     /// each victim's state is read before any abort this probe causes, and
     /// a victim's teardown never alters another core's masks.
     fn snapshot_victim_spec(&mut self, who: usize, lid: LineId) -> Vec<(usize, SpecState)> {
@@ -2025,12 +1990,11 @@ impl Machine {
         if !self.cfg.exhaustive_spec_walk {
             let row = self.spec_cores[lid as usize];
             let dir_hit = row != 0;
-            let n = self.cores.len();
             let mut bits = row & !(1 << who);
             while bits != 0 {
                 let v = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let (r, w) = self.spec_masks[lid as usize * n + v];
+                let (r, w) = self.cores[v].caches.spec_masks(lid);
                 out.push((
                     v,
                     SpecState {
@@ -2077,12 +2041,13 @@ impl Machine {
     ///
     /// * **Batched** (the default): a read-only *verdict pass* joins the
     ///   probe's pre-coarsened mask against every candidate victim's raw
-    ///   masks straight out of the spec-directory row — one AND per victim,
+    ///   masks, read from the caches of the cores the spec-directory row
+    ///   flags — one AND per victim,
     ///   no per-victim snapshot structs — then an *apply pass* walks the
     ///   targets in the same ascending core order, applying verdicts and
     ///   coherence updates. Equivalent to the sequential path because the
     ///   checks are read-only and per-victim independent: aborting victim
-    ///   `a` only clears `a`'s own directory column and running-tx status,
+    ///   `a` only clears `a`'s own speculative state and running-tx status,
     ///   and each victim is visited exactly once, so the state any victim's
     ///   check reads is identical in both orders (fault-RNG draws stay in
     ///   the apply pass, in the original per-victim order).
@@ -2150,7 +2115,6 @@ impl Machine {
         let mut verdicts = self.arena.checkout_verdicts();
         if !use_snapshot {
             let row = self.spec_cores[lid as usize];
-            let n = self.cores.len();
             let probe_coarse = detector.coarsen(mask).0;
             let mut bits = row & targets_bits;
             while bits != 0 {
@@ -2159,7 +2123,7 @@ impl Machine {
                 if !self.cores[v].in_running_tx() {
                     continue;
                 }
-                let (r, w) = self.spec_masks[lid as usize * n + v];
+                let (r, w) = self.cores[v].caches.spec_masks(lid);
                 verdicts.push((v, detector.check_probe_masks(r, w, kind, mask, probe_coarse)));
             }
             // Same per-probe hit/miss accounting the snapshot path records.
@@ -2477,37 +2441,19 @@ impl Machine {
         }
     }
 
-    /// Cross-check one line's speculative-state directory entry against the
+    /// Cross-check one line's speculative-state directory row against the
     /// ground truth (live L1 metadata merged with the retained table) for
-    /// every core. The directory must be *exact* — equal to the union, not
-    /// merely a superset — or conflict classification could drift.
+    /// every core. The row must be *exact* — a core flagged iff it holds
+    /// speculative state there — or a probe could skip a victim (or check
+    /// an empty one). The masks are read from the caches themselves, so
+    /// only the flags can drift.
     fn crosscheck_spec_dir(&self, line: LineAddr, lid: LineId) {
         let row = self.spec_cores[lid as usize];
-        let n = self.cores.len();
         for (v, core) in self.cores.iter().enumerate() {
-            let mut truth = core
-                .caches
-                .l1
-                .peek(lid)
-                .map(|m| m.spec)
-                .unwrap_or(SpecState::EMPTY);
-            if let Some(ret) = core.caches.retained.get(&lid) {
-                truth.merge(ret);
-            }
-            let (r, w) = self.spec_masks[lid as usize * n + v];
             let listed = row & (1 << v) != 0;
             assert_eq!(
-                (r, w),
-                (truth.read_mask.0, truth.write_mask.0),
-                "spec directory diverged for line {:#x} on core {v}: \
-                 directory says ({r:#x}, {w:#x}), caches say ({:#x}, {:#x})",
-                line.base().0,
-                truth.read_mask.0,
-                truth.write_mask.0
-            );
-            assert_eq!(
                 listed,
-                truth.is_speculative(),
+                core.caches.spec_masks(lid) != (0, 0),
                 "spec directory core-bit diverged for line {:#x} on core {v}",
                 line.base().0
             );
@@ -2517,41 +2463,25 @@ impl Machine {
     /// Exhaustively verify the speculative-state directory against every
     /// core's live and retained metadata (test/debug hook mirroring
     /// [`Self::verify_residency_index`]). Checks both directions — every
-    /// speculative (line, core) is listed with exactly the union mask
-    /// (soundness: a probe must see every victim's full state) and every
-    /// listed column is backed by real state (exactness: stale columns
-    /// would fabricate conflicts) — plus the spec-line-list invariant the
-    /// teardown walk relies on: every line carrying state appears on its
-    /// core's tracked list exactly once.
+    /// speculative (line, core) is flagged (soundness: a probe must visit
+    /// every victim) and every flag is backed by real state (exactness:
+    /// stale flags would visit empty victims) — plus the spec-line-list
+    /// invariant the teardown walk relies on: every line carrying state
+    /// appears on its core's tracked list exactly once.
     pub fn verify_spec_directory_index(&self) -> Result<(), String> {
         // Every line with state anywhere was interned when first touched.
-        let n = self.cores.len();
         for (lid, line) in self.intern.iter() {
             for (v, core) in self.cores.iter().enumerate() {
-                let mut truth = core.caches.l1.peek(lid).map(|m| m.spec).unwrap_or(SpecState::EMPTY);
-                if let Some(ret) = core.caches.retained.get(&lid) {
-                    truth.merge(ret);
-                }
-                let (r, w) = self.spec_masks[lid as usize * n + v];
+                let speculative = core.caches.spec_masks(lid) != (0, 0);
                 let listed = self.spec_cores[lid as usize] & (1 << v) != 0;
-                if (r, w) != (truth.read_mask.0, truth.write_mask.0) {
-                    return Err(format!(
-                        "line {:#x}: core {v} directory masks ({r:#x}, {w:#x}) != \
-                         ground truth ({:#x}, {:#x})",
-                        line.base().0,
-                        truth.read_mask.0,
-                        truth.write_mask.0
-                    ));
-                }
-                if listed != truth.is_speculative() {
+                if listed != speculative {
                     return Err(format!(
                         "line {:#x}: core {v} listed={listed} but ground-truth \
-                         speculative={}",
-                        line.base().0,
-                        truth.is_speculative()
+                         speculative={speculative}",
+                        line.base().0
                     ));
                 }
-                if truth.is_speculative() {
+                if speculative {
                     let tracked = core.caches.spec_lines.iter().filter(|&&l| l == lid).count();
                     if tracked != 1 {
                         return Err(format!(

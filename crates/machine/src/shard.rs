@@ -12,40 +12,53 @@
 //! Time is cut into fixed-length *coherence epochs* (`epoch_cycles`). Each
 //! epoch, every shard runs its own packed-key run queue up to the epoch
 //! boundary — completely independently, touching no shared state — and then
-//! the engine resolves cross-shard traffic at a single-threaded barrier:
+//! a single-threaded barrier *routes* cross-shard traffic:
 //!
 //! 1. every line that *gained speculative state* is noted in the
 //!    inter-cluster directory (conservative: entries are never removed,
 //!    mirroring HT-Assist's never-cleaned probe filter). A machine logs a
 //!    line only the first time in its life it turns speculative there —
-//!    a second note of the same (line, shard) could change nothing;
-//! 2. every committed write footprint is routed through the directory to
-//!    the other clusters holding (possibly stale) speculative state on the
-//!    line, where it lands as an external invalidating probe and aborts
-//!    conflicting transactions with the same detector mask check — and the
-//!    same true/false-conflict taxonomy — as a local probe.
+//!    a second note of the same (line, shard) could change nothing. The
+//!    note hands back the line's dense directory id, which the barrier
+//!    files under the shard's own line id;
+//! 2. every committed write footprint is routed through the directory by
+//!    that id — two array loads, no hash probe — to the other clusters
+//!    holding (possibly stale) speculative state on the line, and queued
+//!    in each target shard's *inbox*.
+//!
+//! The barrier applies nothing. Each shard's worker drains its inbox right
+//! before it runs the shard's next epoch (and [`ShardEngine::try_run`]
+//! drains what the last barrier left before finishing): each probe lands
+//! as an external invalidating probe and aborts conflicting transactions
+//! with the same detector mask check — and the same true/false-conflict
+//! taxonomy — as a local probe, stamped with the boundary of the epoch it
+//! was routed in. Deferring the application is exact: a probe touches only
+//! its target machine, and an abort tears down speculative state without
+//! moving any clock or run-queue key, so the next boundary is the same
+//! whether or not the inboxes have been drained.
 //!
 //! ## Threads
 //!
 //! [`ShardEngine::try_run`] starts `worker_threads` scoped threads once per
 //! run; the calling thread runs no shard and only joins (with one worker,
 //! the same loop runs on the calling thread, with no spawn). Worker `w`
-//! owns shards `s ≡ w (mod N)`. After running them to the boundary it
-//! arrives at one `Mutex` + `Condvar`; the *last* worker to arrive leads
-//! the barrier — folds the epoch's times, resolves cross-shard traffic,
-//! picks the next boundary or stops — and then wakes the others once. A
-//! worker that panics wakes the others on its way out, so the panic is
-//! re-raised rather than leaving them at the barrier.
+//! owns shards `s ≡ w (mod N)`. After draining their inboxes and running
+//! them to the boundary it arrives at one `Mutex` + `Condvar`; the *last*
+//! worker to arrive leads the barrier — folds the epoch's times, routes
+//! cross-shard traffic, picks the next boundary or stops — and then wakes
+//! the others once. A worker that panics wakes the others on its way out,
+//! so the panic is re-raised rather than leaving them at the barrier.
 //!
 //! ## Determinism
 //!
 //! The barrier runs on one thread and walks shards, commits, and probe
-//! targets in a canonical order (ascending shard id → commit event order →
-//! ascending target cluster), and intra-epoch shard execution shares no
-//! state whatsoever. Worker threads therefore *cannot* affect any simulated
-//! outcome: `worker_threads = N` is bit-identical to `worker_threads = 1`,
-//! and a single-shard engine is bit-identical to a plain [`Machine`] run —
-//! both invariants are pinned by tests (`tests/shard_equivalence.rs`).
+//! targets in a canonical order (ascending source shard id → commit event
+//! order → line order), so every inbox receives its probes in that order,
+//! and intra-epoch shard execution shares no state whatsoever. Worker
+//! threads therefore *cannot* affect any simulated outcome: `worker_threads
+//! = N` is bit-identical to `worker_threads = 1`, and a single-shard engine
+//! is bit-identical to a plain [`Machine`] run — both invariants are pinned
+//! by tests (`tests/shard_equivalence.rs`).
 //!
 //! The price of the model is physical fidelity, stated plainly: conflicts
 //! *within* a cluster are detected at exact cycle granularity as before,
@@ -58,6 +71,7 @@
 use crate::hier::{ClusterTopology, DirLatency, InterClusterDirectory};
 use crate::machine::{EpochLog, Machine, SimConfig, SimOutput};
 use crate::txprog::Workload;
+use asf_mem::addr::LineAddr;
 use asf_stats::run::RunStats;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -130,7 +144,8 @@ pub struct EpochSpan {
 pub struct ScaleStats {
     /// Epochs resolved (barrier executions).
     pub epochs: u64,
-    /// External probes delivered to shards (one per routed line × target).
+    /// External probes applied to shards (one per routed line × target,
+    /// so always equal to `dir_probes_routed`).
     pub cross_probes: u64,
     /// Transactions aborted by external probes.
     pub cross_aborts: u64,
@@ -260,23 +275,65 @@ pub struct ShardOutput {
 
 /// K machines + the inter-cluster directory, driven in lock-step epochs.
 pub struct ShardEngine {
-    /// One machine per cluster. Each is locked only by the worker that
-    /// owns it (`s % N`) while an epoch runs, and only by the barrier
-    /// leader while the others wait, so the locks are never contended.
-    shards: Vec<Mutex<Machine>>,
+    /// One shard per cluster. Each is locked only by the worker that owns
+    /// it (`s % N`) while an epoch runs, and only by the barrier leader
+    /// while the others wait, so the locks are never contended.
+    shards: Vec<Mutex<Shard>>,
     topo: ClusterTopology,
     barrier: Barrier,
 }
 
-/// What the epoch barrier owns: everything the engine has but the machines.
+/// One cluster's machine, with the external probes the last barrier
+/// routed to it.
+struct Shard {
+    machine: Machine,
+    /// `(line, write-mask bits)` probes, in the canonical routing order;
+    /// applied by the shard's own worker before its next epoch.
+    inbox: Vec<(LineAddr, u64)>,
+    /// Boundary of the epoch the inbox was routed in: the cycle its
+    /// probes are applied at.
+    inbox_at: u64,
+    /// External probes applied here.
+    cross_probes: u64,
+    /// Transactions aborted by them.
+    cross_aborts: u64,
+}
+
+impl Shard {
+    /// Apply the probes the last barrier routed here, in routing order.
+    fn drain_inbox(&mut self) {
+        if self.inbox.is_empty() {
+            return;
+        }
+        // Exactness of the deferred application: aborts tear down
+        // speculative state but move no clock or run-queue key.
+        let next = self.machine.next_event_clock();
+        for &(line, wbits) in &self.inbox {
+            self.cross_aborts +=
+                u64::from(self.machine.apply_external_probe(line, wbits, self.inbox_at));
+        }
+        self.cross_probes += self.inbox.len() as u64;
+        self.inbox.clear();
+        debug_assert_eq!(self.machine.next_event_clock(), next, "a probe moved the schedule");
+    }
+}
+
+/// What the epoch barrier owns: everything the engine has but the shards.
 struct Barrier {
     dir: InterClusterDirectory,
     cfg: ShardConfig,
     /// Parked per-shard log buffers, swapped against each machine's live
     /// outbox at the barrier (no allocation per epoch).
     logs: Vec<EpochLog>,
+    /// Per shard: directory id of each noted line, indexed by the
+    /// machine-local line id ([`NO_DIR_ID`] where not yet noted). Grown
+    /// as lines are noted.
+    dir_ids: Vec<Vec<u32>>,
     scale: ScaleStats,
 }
+
+/// [`Barrier::dir_ids`] slot of a line the shard has not noted.
+const NO_DIR_ID: u32 = u32::MAX;
 
 /// The state the workers of one run share, behind one mutex: where the
 /// run is, who has arrived, and the barrier itself (run by the leader).
@@ -305,10 +362,9 @@ fn lock(sync: &Mutex<EpochSync>) -> MutexGuard<'_, EpochSync> {
     sync.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Lock one shard's machine. A shard is poisoned only when its owner
-/// panicked mid-epoch; the barrier never runs after that, so no one
-/// locks it again.
-fn machine(m: &Mutex<Machine>) -> MutexGuard<'_, Machine> {
+/// Lock one shard. A shard is poisoned only when its owner panicked
+/// mid-epoch; the barrier never runs after that, so no one locks it again.
+fn shard(m: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
     m.lock().expect("a shard is not locked after its worker panicked")
 }
 
@@ -332,8 +388,8 @@ impl Drop for ReleaseOnPanic<'_> {
 /// rounded up — empty epochs are skipped entirely, and the boundary is a
 /// pure function of simulated state, so every thread count computes the
 /// same schedule. `None` once every shard is done.
-fn next_until(shards: &[Mutex<Machine>], epoch_cycles: u64) -> Option<u64> {
-    let next = shards.iter().filter_map(|m| machine(m).next_event_clock()).min()?;
+fn next_until(shards: &[Mutex<Shard>], epoch_cycles: u64) -> Option<u64> {
+    let next = shards.iter().filter_map(|m| shard(m).machine.next_event_clock()).min()?;
     Some((next / epoch_cycles + 1) * epoch_cycles)
 }
 
@@ -360,12 +416,19 @@ impl ShardEngine {
                 c.machine.cores = topo.cores_per_cluster;
                 c.tid_base = topo.base_core(s);
                 c.system_cores = topo.total_cores();
-                let mut m = Machine::new(workload, c);
-                m.enable_epoch_log();
-                Mutex::new(m)
+                let mut machine = Machine::new(workload, c);
+                machine.enable_epoch_log();
+                Mutex::new(Shard {
+                    machine,
+                    inbox: Vec::new(),
+                    inbox_at: 0,
+                    cross_probes: 0,
+                    cross_aborts: 0,
+                })
             })
             .collect();
         let logs = (0..topo.clusters).map(|_| EpochLog::default()).collect();
+        let dir_ids = (0..topo.clusters).map(|_| Vec::new()).collect();
         let workers = cfg.worker_threads.min(topo.clusters);
         ShardEngine {
             shards,
@@ -374,6 +437,7 @@ impl ShardEngine {
                 dir: InterClusterDirectory::default(),
                 cfg,
                 logs,
+                dir_ids,
                 scale: ScaleStats { busy: vec![Duration::ZERO; workers], ..ScaleStats::default() },
             },
         }
@@ -419,10 +483,15 @@ impl ShardEngine {
             return Err(e);
         }
         let Barrier { dir, mut scale, .. } = barrier;
-        // Finalize each shard (no events left — this only folds counters).
+        // Apply what the last barrier routed, then finalize each shard (no
+        // events left — this only folds counters).
         let mut outs: Vec<SimOutput> = Vec::with_capacity(shards.len());
         for m in shards {
-            outs.push(m.into_inner().expect("no worker panicked").finish()?);
+            let mut sh = m.into_inner().expect("no worker panicked");
+            sh.drain_inbox();
+            scale.cross_probes += sh.cross_probes;
+            scale.cross_aborts += sh.cross_aborts;
+            outs.push(sh.machine.finish()?);
         }
         let per_shard_cycles: Vec<u64> = outs.iter().map(|o| o.stats.cycles).collect();
         let mut stats = RunStats::default();
@@ -439,7 +508,8 @@ impl ShardEngine {
 }
 
 /// One worker's whole run: drive its fixed shards (`s % workers == w`, a
-/// map that never depends on timing) to `until`, arrive at the barrier,
+/// map that never depends on timing) through their inboxes and on to
+/// `until`, arrive at the barrier,
 /// and either lead it (the last to arrive) or sleep until released.
 /// Errors (watchdog trips) are reported for the lowest shard id, so the
 /// report is independent of threading.
@@ -447,7 +517,7 @@ fn run_worker(
     w: usize,
     workers: usize,
     mut until: u64,
-    shards: &[Mutex<Machine>],
+    shards: &[Mutex<Shard>],
     sync: &Mutex<EpochSync>,
     cv: &Condvar,
 ) {
@@ -456,7 +526,9 @@ fn run_worker(
         let t0 = Instant::now();
         let mut error = None;
         for (s, m) in shards.iter().enumerate().skip(w).step_by(workers) {
-            if let Err(e) = machine(m).run_epoch(until) {
+            let mut sh = shard(m);
+            sh.drain_inbox();
+            if let Err(e) = sh.machine.run_epoch(until) {
                 error = error.or(Some((s, e)));
             }
         }
@@ -498,7 +570,7 @@ fn run_worker(
 impl EpochSync {
     /// The last worker to arrive: fold the epoch's times, resolve the
     /// barrier, pick the next boundary (or stop), and release the epoch.
-    fn lead(&mut self, shards: &[Mutex<Machine>]) {
+    fn lead(&mut self, shards: &[Mutex<Shard>]) {
         let arrived = Instant::now();
         let until = self.until.expect("a running epoch has a boundary");
         self.arrived = 0;
@@ -529,35 +601,43 @@ impl EpochSync {
 
 impl Barrier {
     /// The single-threaded epoch barrier: drain outboxes, feed the
-    /// directory, route committed write footprints as external probes.
-    /// Canonical order throughout — ascending shard id, then each shard's
-    /// own event order, then ascending target cluster — so the result is a
-    /// pure function of the (deterministic) per-shard logs.
-    fn resolve(&mut self, shards: &[Mutex<Machine>], until: u64) {
-        for (m, log) in shards.iter().zip(self.logs.iter_mut()) {
-            machine(m).swap_epoch_log(log);
+    /// directory, and queue committed write footprints in the target
+    /// shards' inboxes. Canonical order throughout — ascending source
+    /// shard id, then each shard's own commit order, then line order — so
+    /// every inbox is a pure function of the (deterministic) per-shard
+    /// logs.
+    fn resolve(&mut self, shards: &[Mutex<Shard>], until: u64) {
+        let mut shards: Vec<MutexGuard<'_, Shard>> = shards.iter().map(shard).collect();
+        for (sh, log) in shards.iter_mut().zip(self.logs.iter_mut()) {
+            debug_assert!(sh.inbox.is_empty(), "an inbox outlived its epoch");
+            sh.machine.swap_epoch_log(log);
+            sh.inbox_at = until;
         }
         // Pass 1: register this epoch's new speculative lines *before* any
         // routing, so a commit in shard 0 sees speculative state shard 2
         // acquired in the same epoch (conservative ordering: the directory
         // may over-route, never under-route).
-        for (s, log) in self.logs.iter().enumerate() {
-            for &line in &log.spec_touched {
-                self.dir.note(line, s);
+        for (s, (log, ids)) in self.logs.iter().zip(self.dir_ids.iter_mut()).enumerate() {
+            for &(line, lid) in &log.spec_touched {
+                let lid = lid as usize;
+                if lid >= ids.len() {
+                    ids.resize(lid + 1, NO_DIR_ID);
+                }
+                ids[lid] = self.dir.note(line, s);
             }
         }
-        // Pass 2: route committed write footprints.
-        for (s, log) in self.logs.iter().enumerate() {
-            for rec in &log.commits {
-                for &(line, wbits) in &log.commit_lines[rec.start..rec.start + rec.len] {
-                    let mut targets = self.dir.route(line, s, self.cfg.dir_latency);
-                    while targets != 0 {
-                        let t = targets.trailing_zeros() as usize;
-                        targets &= targets - 1;
-                        self.scale.cross_probes += 1;
-                        self.scale.cross_aborts +=
-                            u64::from(machine(&shards[t]).apply_external_probe(line, wbits, until));
-                    }
+        // Pass 2: route committed write footprints. A committed written
+        // line was speculative in its own shard, so pass 1 of this or an
+        // earlier barrier noted it there.
+        for (s, (log, ids)) in self.logs.iter().zip(&self.dir_ids).enumerate() {
+            for &(line, lid, wbits) in &log.commit_lines {
+                let id = ids.get(lid as usize).copied().unwrap_or(NO_DIR_ID);
+                assert_ne!(id, NO_DIR_ID, "shard {s} committed a line it never noted");
+                let mut targets = self.dir.route(id, s, self.cfg.dir_latency);
+                while targets != 0 {
+                    let t = targets.trailing_zeros() as usize;
+                    targets &= targets - 1;
+                    shards[t].inbox.push((line, wbits));
                 }
             }
         }

@@ -25,15 +25,25 @@ const OBS_INTERVAL_CYCLES: u64 = 100_000;
 
 /// Render the servable result document for `spec`'s finished `stats`.
 pub fn result_body(spec: &JobSpec, stats: &RunStats) -> String {
-    format!(
+    render_body(spec, spec.digest(), run_stats_digest(stats), stats)
+}
+
+/// [`result_body`] with both digests already computed, written into one
+/// buffer.
+fn render_body(spec: &JobSpec, spec_digest: u64, stats_digest: u64, stats: &RunStats) -> String {
+    use std::fmt::Write;
+    let mut out = String::with_capacity(8192);
+    write!(
+        out,
         "{{\n  \"schema\": \"asf-serve-v1\",\n  \"spec\": {},\n  \
-         \"spec_digest\": \"{:016x}\",\n  \"stats_digest\": \"{:016x}\",\n  \
-         \"stats\": {}\n}}\n",
+         \"spec_digest\": \"{spec_digest:016x}\",\n  \"stats_digest\": \"{stats_digest:016x}\",\n  \
+         \"stats\": ",
         spec.canonical(),
-        spec.digest(),
-        run_stats_digest(stats),
-        stats.to_json()
     )
+    .expect("writing to a String cannot fail");
+    stats.write_json(&mut out);
+    out.push_str("\n}\n");
+    out
 }
 
 /// Run the simulation a spec names, publishing progress through `probe`
@@ -86,10 +96,11 @@ pub fn run_spec_cancellable(
         None
     };
     let metrics = out.obs.map(|report| Arc::new(report.to_json()));
+    let (spec_digest, stats_digest) = (spec.digest(), run_stats_digest(&out.stats));
     Ok(CachedResult {
-        spec_digest: spec.digest(),
-        stats_digest: run_stats_digest(&out.stats),
-        body: Arc::new(result_body(spec, &out.stats)),
+        spec_digest,
+        stats_digest,
+        body: Arc::new(render_body(spec, spec_digest, stats_digest, &out.stats)),
         metrics,
         trace,
     })
@@ -114,6 +125,22 @@ mod tests {
             RunStats::from_value(root.field("stats").unwrap()).expect("stats parse back");
         assert_eq!(run_stats_digest(&stats), a.stats_digest);
         assert!(a.metrics.is_none() && a.trace.is_none());
+    }
+
+    #[test]
+    fn body_layout_is_pinned() {
+        let spec = JobSpec::new("ssca2", DetectorKind::SubBlock(4), Scale::Small, 0xA5);
+        let stats = RunStats::default();
+        let expected = format!(
+            "{{\n  \"schema\": \"asf-serve-v1\",\n  \"spec\": {},\n  \
+             \"spec_digest\": \"{:016x}\",\n  \"stats_digest\": \"{:016x}\",\n  \
+             \"stats\": {}\n}}\n",
+            spec.canonical(),
+            spec.digest(),
+            run_stats_digest(&stats),
+            stats.to_json()
+        );
+        assert_eq!(result_body(&spec, &stats), expected);
     }
 
     #[test]

@@ -301,71 +301,101 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-fn u64_list(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
+/// Append `v` to `out` as a JSON array.
+fn write_u64_list(out: &mut String, v: &[u64]) {
+    out.push('[');
+    for (i, n) in v.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_u64(out, *n);
+    }
+    out.push(']');
+}
+
+/// Append `n` in decimal.
+fn write_u64(out: &mut String, n: u64) {
+    use std::fmt::Write;
+    write!(out, "{n}").expect("writing to a String cannot fail");
 }
 
 impl RunStats {
     /// Serialise every field to JSON. Exact: see [`RunStats::from_json`].
     pub fn to_json(&self) -> String {
-        let pairs: String = self
-            .false_by_line
-            .sorted()
-            .iter()
-            .map(|&(i, c)| format!("[{i},{c}]"))
-            .collect::<Vec<_>>()
-            .join(",");
+        let mut out = String::with_capacity(1024);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append [`RunStats::to_json`]'s document to `out`, writing every
+    /// number and list in place (no intermediate strings).
+    pub fn write_json(&self, out: &mut String) {
         let f = &self.faults;
-        format!(
-            concat!(
-                "{{\"tx_started\":{},\"tx_attempts\":{},\"tx_committed\":{},",
-                "\"tx_aborted\":{},\"aborts_by_cause\":{},\"fallback_commits\":{},",
-                "\"isolation_violations\":{},\"dirty_refetches\":{},",
-                "\"war_speculations\":{},\"sig_alias_conflicts\":{},",
-                "\"probes\":{},\"probe_targets\":{},\"l1_hits\":{},\"l1_misses\":{},",
-                "\"conflicts\":{{\"true_by_type\":{},\"false_by_type\":{}}},",
-                "\"started_series\":{},\"false_series\":{},",
-                "\"false_by_line\":[{}],\"access_offsets\":{},",
-                "\"cycles\":{},\"backoff_cycles\":{},\"max_retries\":{},",
-                "\"retry_histogram\":{},",
-                "\"faults\":{{\"spurious_aborts\":{},\"spurious_op_aborts\":{},",
-                "\"false_probe_conflicts\":{},\"capacity_spikes\":{},",
-                "\"capacity_spike_aborts\":{},\"delayed_probes\":{},",
-                "\"delay_cycles\":{}}}}}",
-            ),
-            self.tx_started,
-            self.tx_attempts,
-            self.tx_committed,
-            self.tx_aborted,
-            u64_list(&self.aborts_by_cause),
-            self.fallback_commits,
-            self.isolation_violations,
-            self.dirty_refetches,
-            self.war_speculations,
-            self.sig_alias_conflicts,
-            self.probes,
-            self.probe_targets,
-            self.l1_hits,
-            self.l1_misses,
-            u64_list(&self.conflicts.true_by_type),
-            u64_list(&self.conflicts.false_by_type),
-            u64_list(self.started_series.stamps()),
-            u64_list(self.false_series.stamps()),
-            pairs,
-            u64_list(self.access_offsets.bytes()),
-            self.cycles,
-            self.backoff_cycles,
-            self.max_retries,
-            u64_list(&self.retry_histogram),
-            f.spurious_aborts,
-            f.spurious_op_aborts,
-            f.false_probe_conflicts,
-            f.capacity_spikes,
-            f.capacity_spike_aborts,
-            f.delayed_probes,
-            f.delay_cycles,
-        )
+        for (key, n) in [
+            ("{\"tx_started\":", self.tx_started),
+            (",\"tx_attempts\":", self.tx_attempts),
+            (",\"tx_committed\":", self.tx_committed),
+            (",\"tx_aborted\":", self.tx_aborted),
+        ] {
+            out.push_str(key);
+            write_u64(out, n);
+        }
+        out.push_str(",\"aborts_by_cause\":");
+        write_u64_list(out, &self.aborts_by_cause);
+        for (key, n) in [
+            (",\"fallback_commits\":", self.fallback_commits),
+            (",\"isolation_violations\":", self.isolation_violations),
+            (",\"dirty_refetches\":", self.dirty_refetches),
+            (",\"war_speculations\":", self.war_speculations),
+            (",\"sig_alias_conflicts\":", self.sig_alias_conflicts),
+            (",\"probes\":", self.probes),
+            (",\"probe_targets\":", self.probe_targets),
+            (",\"l1_hits\":", self.l1_hits),
+            (",\"l1_misses\":", self.l1_misses),
+        ] {
+            out.push_str(key);
+            write_u64(out, n);
+        }
+        out.push_str(",\"conflicts\":{\"true_by_type\":");
+        write_u64_list(out, &self.conflicts.true_by_type);
+        out.push_str(",\"false_by_type\":");
+        write_u64_list(out, &self.conflicts.false_by_type);
+        out.push_str("},\"started_series\":");
+        write_u64_list(out, self.started_series.stamps());
+        out.push_str(",\"false_series\":");
+        write_u64_list(out, self.false_series.stamps());
+        out.push_str(",\"false_by_line\":[");
+        for (i, &(line, count)) in self.false_by_line.sorted().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_u64_list(out, &[line, count]);
+        }
+        out.push_str("],\"access_offsets\":");
+        write_u64_list(out, self.access_offsets.bytes());
+        for (key, n) in [
+            (",\"cycles\":", self.cycles),
+            (",\"backoff_cycles\":", self.backoff_cycles),
+            (",\"max_retries\":", u64::from(self.max_retries)),
+        ] {
+            out.push_str(key);
+            write_u64(out, n);
+        }
+        out.push_str(",\"retry_histogram\":");
+        write_u64_list(out, &self.retry_histogram);
+        for (key, n) in [
+            (",\"faults\":{\"spurious_aborts\":", f.spurious_aborts),
+            (",\"spurious_op_aborts\":", f.spurious_op_aborts),
+            (",\"false_probe_conflicts\":", f.false_probe_conflicts),
+            (",\"capacity_spikes\":", f.capacity_spikes),
+            (",\"capacity_spike_aborts\":", f.capacity_spike_aborts),
+            (",\"delayed_probes\":", f.delayed_probes),
+            (",\"delay_cycles\":", f.delay_cycles),
+        ] {
+            out.push_str(key);
+            write_u64(out, n);
+        }
+        out.push_str("}}");
     }
 
     /// Rebuild stats from [`RunStats::to_json`] output. Exact inverse:
@@ -509,5 +539,41 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").unwrap_err().contains("trailing"));
         assert!(RunStats::from_json("{}").unwrap_err().contains("missing field"));
+    }
+
+    /// [`populated`] with two false-conflict lines and two stamps per
+    /// series, so every list the encoder writes has separators in it.
+    fn populated_lists() -> RunStats {
+        let mut r = populated();
+        r.on_tx_start(220);
+        r.on_conflict(ConflictType::WriteAfterWrite, false, 260, Addr(0x40).line());
+        r.on_access(0, 64);
+        r
+    }
+
+    /// The document's exact bytes: served result bodies are cached and
+    /// compared byte for byte, so the encoding must never drift.
+    #[test]
+    fn encoding_is_pinned_byte_for_byte() {
+        let expected = concat!(
+            r#"{"tx_started":2,"tx_attempts":2,"tx_committed":1,"tx_aborted":1,"#,
+            r#""aborts_by_cause":[0,1,0,0,0,0],"fallback_commits":1,"isolation_violations":0,"#,
+            r#""dirty_refetches":0,"war_speculations":0,"sig_alias_conflicts":0,"probes":0,"#,
+            r#""probe_targets":0,"l1_hits":0,"l1_misses":0,"#,
+            r#""conflicts":{"true_by_type":[0,1,0],"false_by_type":[1,0,1]},"#,
+            r#""started_series":[100,220],"false_series":[150,260],"#,
+            r#""false_by_line":[[1,1],[257,1]],"access_offsets":[1,0,0,0,0,0,0,0,1,"#,
+            r#"0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"#,
+            r#"0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"cycles":5000,"backoff_cycles":120,"#,
+            r#""max_retries":1,"retry_histogram":[0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"#,
+            r#""faults":{"spurious_aborts":3,"spurious_op_aborts":0,"false_probe_conflicts":0,"#,
+            r#""capacity_spikes":0,"capacity_spike_aborts":0,"delayed_probes":0,"delay_cycles":400}}"#,
+        );
+        let stats = populated_lists();
+        assert_eq!(stats.to_json(), expected);
+        let mut appended = String::from("x");
+        stats.write_json(&mut appended);
+        assert_eq!(appended, format!("x{expected}"));
+        assert_eq!(RunStats::from_json(expected).expect("parse back"), stats);
     }
 }

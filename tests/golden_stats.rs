@@ -417,3 +417,61 @@ fn print_golden_evicting_stats() {
         stats.aborts_by_cause[2]
     );
 }
+
+// ---------------------------------------------------------------------------
+// Contended shard fence: the huge-tier cell above resolves no cross-shard
+// abort, so it cannot see when or how an external probe is delivered. The
+// `mix` preset on 64 cores (4 clusters of 16) updates a global pool every
+// cluster shares, so its barrier routes probes that abort remote
+// transactions. Pinned at 1 and 2 workers: the digest, the key counters
+// and all seven `ScaleStats` counters.
+// ---------------------------------------------------------------------------
+
+fn run_contended_shard(worker_threads: usize) -> asf_machine::shard::ShardOutput {
+    use asf_machine::shard::{ShardConfig, ShardEngine};
+    let w = asf_workloads::streaming::by_name("mix").expect("mix preset");
+    let base = SimConfig::paper_seeded(DetectorKind::SubBlock(4), 5);
+    ShardEngine::new(&w, base, ShardConfig { worker_threads, ..ShardConfig::huge(64) })
+        .try_run()
+        .expect("contended shard run completes")
+}
+
+/// Expected (digest, key) of the contended cell, for every thread count.
+const EXPECTED_CONTENDED: (u64, Key) =
+    (0x500220867c6d4ba8, (14734, 267, 267, 230, 13109, 91657, 13109, 67322));
+
+/// Expected `ScaleKey` of the contended cell, for every thread count.
+const EXPECTED_CONTENDED_SCALE: ScaleKey = (17, 1746, 17, 29291, 1746, 1966980, 4416);
+
+#[test]
+fn golden_stats_contended_shard() {
+    for workers in [1, 2] {
+        let out = run_contended_shard(workers);
+        assert_eq!(
+            scale_key(&out.scale),
+            EXPECTED_CONTENDED_SCALE,
+            "contended shard ScaleStats drifted ({workers} workers)"
+        );
+        assert_eq!(
+            key(&out.stats),
+            EXPECTED_CONTENDED.1,
+            "contended shard key counters drifted ({workers} workers)"
+        );
+        assert_eq!(
+            digest(&out.stats),
+            EXPECTED_CONTENDED.0,
+            "contended shard digest drifted ({workers} workers)"
+        );
+    }
+}
+
+/// Prints the contended cell's actuals; used to (re)baseline.
+#[test]
+#[ignore = "baseline capture helper, run with --ignored --nocapture"]
+fn print_golden_contended_shard_stats() {
+    for workers in [1, 2] {
+        let out = run_contended_shard(workers);
+        println!("    {workers}: ({:#018x}, {:?})", digest(&out.stats), key(&out.stats));
+        println!("    {workers}: {:?}", scale_key(&out.scale));
+    }
+}

@@ -245,7 +245,7 @@ fn no_shard_logs_a_spec_touched_line_twice() {
         for (s, m) in shards.iter_mut().enumerate() {
             m.run_epoch(until).expect("epoch runs");
             m.swap_epoch_log(&mut log);
-            for line in &log.spec_touched {
+            for (line, _) in &log.spec_touched {
                 assert!(seen[s].insert(line.0), "shard {s} logged line {:#x} twice", line.0);
             }
         }
@@ -258,4 +258,70 @@ fn no_shard_logs_a_spec_touched_line_twice() {
     assert!(epochs >= 3, "the run must span several epochs: {epochs}");
     assert!(aborted > 0, "retried attempts must re-mark lines for the check to bite");
     assert!(seen.iter().all(|lines| !lines.is_empty()));
+}
+
+/// Every external probe the barrier routes is applied to its target shard
+/// — including those routed by the final barrier, which no later epoch
+/// drains, so the engine must apply them before finishing. Each core's
+/// every transaction writes one line all clusters share, so every barrier
+/// routes probes. With an epoch longer than the whole run, the final
+/// barrier is the only one; with a short epoch, many barriers route and
+/// cross-shard aborts fire. Applied probes (`cross_probes`) must equal
+/// routed hops (`dir_probes_routed`) at every worker count, and the
+/// results must not depend on it.
+#[test]
+fn every_routed_probe_is_applied_before_finish() {
+    let w = FnWorkload {
+        name: "shared-line",
+        spawn_fn: |tid: usize, _threads: usize, _seed: u64| -> Box<dyn ThreadProgram> {
+            let work = (0..6)
+                .map(|i| {
+                    WorkItem::Tx(TxAttempt::new(vec![
+                        TxOp::Read { addr: Addr(0x1000 + 8 * (tid as u64 % 8)), size: 8 },
+                        TxOp::Write { addr: Addr(0x1000 + 8 * (tid as u64 % 8)), size: 8, value: i },
+                        TxOp::Compute { cycles: 300 },
+                    ]))
+                })
+                .collect();
+            Box::new(ScriptedProgram::new(work))
+        },
+    };
+    let base = SimConfig::paper_seeded(DetectorKind::SubBlock(4), 0xAB);
+    for epoch_cycles in [1u64 << 40, 256] {
+        let run = |threads: usize| {
+            ShardEngine::new(
+                &w,
+                base,
+                ShardConfig {
+                    total_cores: 16,
+                    cores_per_cluster: 4,
+                    epoch_cycles,
+                    worker_threads: threads,
+                    dir_latency: DirLatency::opteron_like(),
+                },
+            )
+            .try_run()
+            .expect("run completes")
+        };
+        let seq = run(1);
+        assert!(seq.scale.dir_probes_routed > 0, "epoch {epoch_cycles}: probes must be routed");
+        if epoch_cycles > 256 {
+            assert_eq!(seq.scale.epochs, 1, "the whole run must fit one epoch");
+        } else {
+            assert!(seq.scale.cross_aborts > 0, "short epochs must deliver cross-shard aborts");
+        }
+        for threads in [1, 2, 3] {
+            let out = run(threads);
+            assert_eq!(
+                out.scale.cross_probes, out.scale.dir_probes_routed,
+                "epoch {epoch_cycles}, {threads} worker(s): a routed probe was never applied"
+            );
+            assert_eq!(out.stats, seq.stats, "epoch {epoch_cycles}, {threads} worker(s)");
+            assert_eq!(
+                (out.scale.cross_probes, out.scale.cross_aborts),
+                (seq.scale.cross_probes, seq.scale.cross_aborts),
+                "epoch {epoch_cycles}, {threads} worker(s)"
+            );
+        }
+    }
 }
