@@ -2,11 +2,10 @@
 //!
 //! ```text
 //! asf-repro [EXPERIMENT ...] [--scale small|standard|large] [--seed N] [--csv DIR] [--json DIR]
-//!                            [--threads N] [--check-baseline BENCH_perf.json]
-//!                            [--checkpoint FILE] [--resume]
+//!                            [--threads N] [--checkpoint FILE] [--resume]
 //!
 //! EXPERIMENT: all | ext | table1 | table2 | table3 | fig1 .. fig10
-//!           | overhead | headline | diag | scaling | backoff | policy | charts | excluded | related | signatures | variance | adaptive | fabric | summary | faults | perf | profile:<bench> | trace:<bench>
+//!           | overhead | headline | diag | scaling | backoff | policy | charts | excluded | related | signatures | variance | adaptive | fabric | summary | faults | profile:<bench> | trace:<bench>
 //! ```
 //!
 //! Experiments needing simulation runs share one (benchmark × detector)
@@ -29,22 +28,10 @@ use asf_stats::table::Table;
 use asf_workloads::Scale;
 
 const USAGE: &str = "usage: asf-repro [all|ext|table1|table2|table3|fig1..fig10|overhead|headline|diag|scaling|backoff|policy\
-                     |charts|excluded|related|signatures|variance|adaptive|fabric|summary|faults|perf|observe|scale|serve|loadtest|chaos|dash|profile:<bench>|trace:<bench>]* \
-                     [--scale small|standard|large|huge] [--seed N] [--csv DIR] [--json DIR] [--threads N] [--samples N] \
-                     [--check-baseline BENCH_perf.json] [--checkpoint FILE] [--resume] [--smoke] [--allow-failed] \
-                     [--port N] [--clients N] [--cache-dir DIR] [--offline]";
-
-/// Subject line of the HEAD commit, for stamping report rounds.
-fn git_subject() -> String {
-    std::process::Command::new("git")
-        .args(["log", "-1", "--pretty=%s"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "(no git)".to_string())
-}
+                     |charts|excluded|related|signatures|variance|adaptive|fabric|summary|faults|observe|scale|serve|loadtest|chaos|dash|profile:<bench>|trace:<bench>]* \
+                     [--scale small|standard|large|huge] [--seed N] [--csv DIR] [--json DIR] [--threads N] \
+                     [--checkpoint FILE] [--resume] [--smoke] [--allow-failed] \
+                     [--port N] [--clients N] [--cache-dir DIR]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,16 +39,13 @@ fn main() {
     let mut seed: u64 = 0x5eed_2013;
     let mut csv_dir: Option<String> = None;
     let mut json_dir: Option<String> = None;
-    let mut check_baseline: Option<String> = None;
     let mut checkpoint_path: Option<String> = None;
     let mut resume = false;
     let mut smoke = false;
-    let mut offline = false;
     let mut allow_failed = false;
     let mut port: u16 = 0;
     let mut clients = asf_harness::serve::DEFAULT_CLIENTS;
     let mut cache_dir: Option<String> = None;
-    let mut samples = asf_harness::perf::DEFAULT_SAMPLES;
     let mut cmds: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -115,30 +99,12 @@ fn main() {
                     });
                 asf_harness::matrix::set_default_workers(Some(n));
             }
-            "--check-baseline" => {
-                i += 1;
-                check_baseline = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--check-baseline needs a BENCH_perf.json path\n{USAGE}");
-                    std::process::exit(2);
-                }));
-            }
             "--checkpoint" => {
                 i += 1;
                 checkpoint_path = Some(args.get(i).cloned().unwrap_or_else(|| {
                     eprintln!("--checkpoint needs a file path\n{USAGE}");
                     std::process::exit(2);
                 }));
-            }
-            "--samples" => {
-                i += 1;
-                samples = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--samples needs a positive integer\n{USAGE}");
-                        std::process::exit(2);
-                    });
             }
             "--port" => {
                 i += 1;
@@ -167,7 +133,6 @@ fn main() {
             }
             "--resume" => resume = true,
             "--smoke" => smoke = true,
-            "--offline" => offline = true,
             "--allow-failed" => allow_failed = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -299,49 +264,6 @@ fn main() {
             "variance" => emit("variance", experiments::variance(scale, seed, 5)),
             "adaptive" => emit("adaptive", experiments::adaptive(scale, seed)),
             "fabric" => emit("fabric", experiments::fabric(scale, seed)),
-            "perf" => {
-                // Throughput smoke grid; also writes the machine-readable
-                // report to BENCH_perf.json in the current directory (the
-                // repo root when run from CI), independent of --json.
-                // With --check-baseline PATH the committed report is read
-                // *before* the overwrite and the run fails (exit 1) on a
-                // >25% wall-time regression or any simulated-cycles drift.
-                eprintln!(
-                    "timing perf smoke grid (scale {scale:?}, seed {seed:#x}, \
-                     {samples} sample(s)/cell) …"
-                );
-                let baseline = check_baseline.as_ref().map(|p| {
-                    std::fs::read_to_string(p).unwrap_or_else(|e| {
-                        eprintln!("cannot read baseline {p}: {e}");
-                        std::process::exit(2);
-                    })
-                });
-                let report = asf_harness::perf::measure_samples(scale, seed, samples);
-                emit("perf", report.table());
-                // Carry the append-only round history — and any scale_rounds
-                // section — forward from the file being replaced (empty when
-                // absent) and record this run as the next round, stamped
-                // with HEAD's commit subject.
-                let old_json = std::fs::read_to_string("BENCH_perf.json").unwrap_or_default();
-                let prior = asf_harness::perf::parse_history(&old_json);
-                let history =
-                    asf_harness::perf::next_history(&prior, &report, &git_subject());
-                let rendered = report.to_json_with_history(&history);
-                let carried = asf_harness::scale::carry_scale_rounds(&old_json, &rendered);
-                let carried = asf_harness::serve::carry_serve_rounds(&old_json, &carried);
-                std::fs::write("BENCH_perf.json", carried)
-                    .expect("write BENCH_perf.json");
-                eprintln!("wrote BENCH_perf.json ({} history rounds)", history.len());
-                if let Some(json) = baseline {
-                    match asf_harness::perf::check_against_baseline(&report, &json, 0.25) {
-                        Ok(msg) => eprintln!("{msg}"),
-                        Err(msg) => {
-                            eprintln!("FAIL: {msg}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
             "scale" => {
                 // Shard-parallel scaling sweep (DESIGN.md §15). `--smoke`
                 // runs the CI gate instead: a 2-shard config with 1 and 2
@@ -399,19 +321,6 @@ fn main() {
                         eprintln!("wrote {path} — open in chrome://tracing or Perfetto");
                     }
                 }
-                // Append this sweep as a round of the scale_rounds section.
-                let old_json = std::fs::read_to_string("BENCH_perf.json").unwrap_or_default();
-                let entry = asf_harness::scale::scale_round_entry(
-                    &report,
-                    asf_harness::scale::next_scale_round(&old_json),
-                    &git_subject(),
-                );
-                std::fs::write(
-                    "BENCH_perf.json",
-                    asf_harness::scale::append_scale_round(&old_json, &entry),
-                )
-                .expect("write BENCH_perf.json");
-                eprintln!("appended scale round to BENCH_perf.json");
             }
             "serve" => {
                 // Content-addressed simulation service (DESIGN.md §16).
@@ -463,8 +372,7 @@ fn main() {
             }
             "loadtest" => {
                 // Hammer a private server with concurrent in-process
-                // clients over a Zipf-skewed job mix; append the round to
-                // BENCH_perf.json's serve_rounds section.
+                // clients over a Zipf-skewed job mix.
                 let opts = asf_harness::serve::loadtest_opts(clients, scale, seed);
                 eprintln!(
                     "serve loadtest: {} clients x {} requests over {} distinct specs \
@@ -484,19 +392,6 @@ fn main() {
                         asf_harness::serve::SPEEDUP_FLOOR
                     );
                 }
-                let old_json = std::fs::read_to_string("BENCH_perf.json").unwrap_or_default();
-                let entry = asf_harness::serve::serve_round_entry(
-                    &opts,
-                    &report,
-                    asf_harness::serve::next_serve_round(&old_json),
-                    &git_subject(),
-                );
-                std::fs::write(
-                    "BENCH_perf.json",
-                    asf_harness::serve::append_serve_round(&old_json, &entry),
-                )
-                .expect("write BENCH_perf.json");
-                eprintln!("appended serve round to BENCH_perf.json");
             }
             "chaos" => {
                 // Self-healing soak (DESIGN.md §17): drive a live server
@@ -529,27 +424,11 @@ fn main() {
                 }
             }
             "dash" => {
-                // Read-only observability dashboard (DESIGN.md §18).
-                // `--offline` renders the BENCH_perf.json trajectory (the
-                // CI mode, pinned against the committed report); otherwise
-                // poll a live server given by --port.
-                if offline {
-                    let json = std::fs::read_to_string("BENCH_perf.json").unwrap_or_else(|e| {
-                        eprintln!("FAIL: dash --offline needs BENCH_perf.json: {e}");
-                        std::process::exit(1);
-                    });
-                    match asf_harness::dash::offline(&json) {
-                        Ok(out) => print!("{out}"),
-                        Err(e) => {
-                            eprintln!("FAIL: dash: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                    continue;
-                }
+                // Read-only observability dashboard (DESIGN.md §18): poll
+                // a live server given by --port.
                 if port == 0 {
                     eprintln!(
-                        "dash needs --port N of a running asf-serve (or --offline)\n{USAGE}"
+                        "dash needs --port N of a running asf-serve\n{USAGE}"
                     );
                     std::process::exit(2);
                 }

@@ -1,195 +1,16 @@
 //! `asf-repro dash` — a read-only terminal dashboard over the service's
 //! observability surface (DESIGN.md §18).
 //!
-//! Two modes, one renderer:
-//!
-//! * **online** — poll a live `asf-serve` instance's `/v1/healthz` and
-//!   `/v1/metrics/prometheus` endpoints a few times and render request
-//!   totals by endpoint, histogram-derived latency quantiles, cache
-//!   events and health/uptime as tables and [`BarChart`]s. Strictly
-//!   read-only: both endpoints are snapshots, so watching a server never
-//!   perturbs it.
-//! * **offline** — no server needed: diff the append-only round sections
-//!   of a committed `BENCH_perf.json` (`history`, `scale_rounds`,
-//!   `serve_rounds`) into one trajectory table, each round against its
-//!   predecessor in the same section. This is the CI mode (`asf-repro
-//!   dash --offline`), pinned against the checked-in report.
+//! It polls a live `asf-serve` instance's `/v1/healthz` and
+//! `/v1/metrics/prometheus` endpoints a few times and renders request
+//! totals by endpoint, histogram-derived latency quantiles, cache events
+//! and health/uptime as tables and [`BarChart`]s. Strictly read-only: both
+//! endpoints are snapshots, so watching a server never perturbs it.
 
 use asf_stats::chart::BarChart;
 use asf_stats::json::{self, JsonValue};
 use asf_stats::openmetrics::{parse_exposition, Exposition};
 use asf_stats::table::Table;
-
-/// Any JSON number as `f64` (the dumb scanners keep integers exact; the
-/// dashboard only renders).
-fn num(v: &JsonValue) -> Option<f64> {
-    match v {
-        JsonValue::Int(n) => Some(*n as f64),
-        JsonValue::Num(f) => Some(*f),
-        _ => None,
-    }
-}
-
-/// Signed percent change `prev → cur`, rendered with its sign.
-fn delta_pct(prev: f64, cur: f64) -> String {
-    if prev <= 0.0 {
-        return "-".to_string();
-    }
-    format!("{:+.1}%", (cur - prev) / prev * 100.0)
-}
-
-fn truncate(s: &str, max: usize) -> String {
-    if s.len() <= max {
-        s.to_string()
-    } else {
-        format!("{}…", &s[..s.char_indices().take(max).last().map(|(i, c)| i + c.len_utf8()).unwrap_or(0)])
-    }
-}
-
-/// One row of the trajectory: a round of some section with its headline
-/// number.
-struct TrajectoryRow {
-    section: &'static str,
-    round: u64,
-    subject: String,
-    metric: &'static str,
-    value: f64,
-}
-
-/// Pull `(round, subject, headline)` rows out of one section array.
-fn section_rows(
-    root: &JsonValue,
-    key: &str,
-    section: &'static str,
-    metric: &'static str,
-    headline: impl Fn(&JsonValue) -> Option<f64>,
-) -> Vec<TrajectoryRow> {
-    let Some(arr) = root.get(key).and_then(|v| v.as_arr().ok().map(<[JsonValue]>::to_vec)) else {
-        return Vec::new();
-    };
-    arr.iter()
-        .filter_map(|entry| {
-            Some(TrajectoryRow {
-                section,
-                round: entry.get("round").and_then(|v| v.as_u64().ok())?,
-                subject: entry
-                    .get("git_subject")
-                    .and_then(|v| v.as_str().ok())
-                    .unwrap_or("?")
-                    .to_string(),
-                metric,
-                value: headline(entry)?,
-            })
-        })
-        .collect()
-}
-
-/// The best (maximum) `macc_per_sec` across a scale round's curve.
-fn scale_headline(entry: &JsonValue) -> Option<f64> {
-    entry
-        .get("curve")?
-        .as_arr()
-        .ok()?
-        .iter()
-        .filter_map(|point| point.get("macc_per_sec").and_then(num))
-        .fold(None, |best: Option<f64>, v| Some(best.map_or(v, |b| b.max(v))))
-}
-
-/// Diff every round section of a `BENCH_perf.json` document into one
-/// trajectory table: each round's headline number next to the change
-/// against the *previous round of the same section*.
-pub fn trajectory_table(json: &str) -> Result<Table, String> {
-    let root = json::parse(json).map_err(|e| format!("BENCH_perf.json does not parse: {e}"))?;
-    let mut rows: Vec<TrajectoryRow> = Vec::new();
-    rows.extend(section_rows(&root, "history", "perf", "wall_ms", |e| {
-        e.get("total_wall_ms").and_then(num)
-    }));
-    rows.extend(section_rows(&root, "scale_rounds", "scale", "macc/s", scale_headline));
-    rows.extend(section_rows(&root, "serve_rounds", "serve", "speedup", |e| {
-        e.get("measure").and_then(|m| m.get("speedup")).and_then(num)
-    }));
-    if rows.is_empty() {
-        return Err("no history, scale_rounds or serve_rounds section found".to_string());
-    }
-    let mut t = Table::new(
-        "dash — BENCH_perf.json trajectory (each round vs its section predecessor)",
-        &["section", "round", "metric", "value", "delta", "git subject"],
-    );
-    let mut prev: Option<(&'static str, f64)> = None;
-    for row in &rows {
-        let delta = match prev {
-            Some((section, value)) if section == row.section => delta_pct(value, row.value),
-            _ => "-".to_string(),
-        };
-        prev = Some((row.section, row.value));
-        t.row(vec![
-            row.section.to_string(),
-            row.round.to_string(),
-            row.metric.to_string(),
-            format!("{:.1}", row.value),
-            delta,
-            truncate(&row.subject, 48),
-        ]);
-    }
-    Ok(t)
-}
-
-/// Per-round wall-time chart for the perf section (lower is better).
-pub fn perf_chart(json: &str) -> Result<BarChart, String> {
-    let root = json::parse(json).map_err(|e| format!("BENCH_perf.json does not parse: {e}"))?;
-    let mut chart = BarChart::new("perf rounds — total wall ms (lower is better)", " ms");
-    for row in section_rows(&root, "history", "perf", "wall_ms", |e| {
-        e.get("total_wall_ms").and_then(num)
-    }) {
-        chart.bar(format!("round {}", row.round), row.value);
-    }
-    if chart.is_empty() {
-        return Err("no perf history rounds to chart".to_string());
-    }
-    Ok(chart)
-}
-
-/// Serve-round detail: the cache/latency numbers each load-test round
-/// recorded, including the histogram-derived percentiles once present.
-pub fn serve_rounds_table(json: &str) -> Result<Table, String> {
-    let root = json::parse(json).map_err(|e| format!("BENCH_perf.json does not parse: {e}"))?;
-    let arr = root
-        .get("serve_rounds")
-        .and_then(|v| v.as_arr().ok().map(<[JsonValue]>::to_vec))
-        .unwrap_or_default();
-    let mut t = Table::new(
-        "dash — serve rounds (sampled vs histogram-derived latency)",
-        &["round", "requests", "hit rate", "p50 (us)", "p99 (us)", "h50 (us)", "h99 (us)", "speedup"],
-    );
-    let field = |m: &JsonValue, key: &str| -> String {
-        m.get(key).and_then(num).map_or("-".to_string(), |v| format!("{v:.1}"))
-    };
-    for entry in &arr {
-        let Some(m) = entry.get("measure") else { continue };
-        t.row(vec![
-            entry.get("round").and_then(|v| v.as_u64().ok()).unwrap_or(0).to_string(),
-            field(m, "requests"),
-            field(m, "hit_rate"),
-            field(m, "p50_us"),
-            field(m, "p99_us"),
-            field(m, "hist_p50_us"),
-            field(m, "hist_p99_us"),
-            field(m, "speedup"),
-        ]);
-    }
-    Ok(t)
-}
-
-/// Render the full offline dashboard from a `BENCH_perf.json` document.
-pub fn offline(json: &str) -> Result<String, String> {
-    let mut out = String::new();
-    out.push_str(&trajectory_table(json)?.render());
-    out.push('\n');
-    out.push_str(&perf_chart(json)?.render(48));
-    out.push('\n');
-    out.push_str(&serve_rounds_table(json)?.render());
-    Ok(out)
-}
 
 /// One polled snapshot of a live server.
 pub struct DashSample {
@@ -236,8 +57,9 @@ pub fn poll(client: &mut asf_serve::http::Client) -> Result<DashSample, String> 
 
 /// Estimate a quantile from an exposition histogram's cumulative
 /// `_bucket{le=...}` samples — the scrape-side mirror of
-/// [`asf_stats::Histogram::quantile`], bracketing the true quantile from
-/// above within one log2 bucket.
+/// [`asf_stats::Histogram::quantile`], with the same
+/// [`asf_stats::nearest_rank`], bracketing the true quantile from above
+/// within one log2 bucket.
 pub fn quantile_from_buckets(exposition: &Exposition, family: &str, q: f64) -> Option<f64> {
     let mut buckets: Vec<(f64, f64)> = exposition
         .samples
@@ -249,11 +71,11 @@ pub fn quantile_from_buckets(exposition: &Exposition, family: &str, q: f64) -> O
         })
         .collect();
     buckets.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("le bounds are comparable"));
-    let total = buckets.last()?.1;
-    if total <= 0.0 {
+    let total = buckets.last()?.1 as u64;
+    if total == 0 {
         return None;
     }
-    let rank = (q.clamp(0.0, 1.0) * total).ceil().max(1.0);
+    let rank = asf_stats::nearest_rank(q, total) as f64;
     buckets.iter().find(|&&(_, cum)| cum >= rank).map(|&(le, _)| le)
 }
 
@@ -350,68 +172,6 @@ pub fn online(addr: &str, iterations: usize, interval_ms: u64) -> Result<String,
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const FIXTURE: &str = r#"{
-  "total_wall_ms": 100.0,
-  "history": [
-    {"round": 1, "git_subject": "first", "total_wall_ms": 200.0},
-    {"round": 2, "git_subject": "second", "total_wall_ms": 100.0}
-  ],
-  "scale_rounds": [
-    {"round": 1, "git_subject": "sweep", "curve": [
-      {"cores": 64, "threads": 1, "macc_per_sec": 1.5},
-      {"cores": 64, "threads": 2, "macc_per_sec": 1.8}
-    ]}
-  ],
-  "serve_rounds": [
-    {"round": 1, "git_subject": "serve", "measure":
-      {"requests": 3072, "hit_rate": 0.12, "p50_us": 280.0, "p99_us": 29990.4,
-       "hist_p50_us": 524.2, "hist_p99_us": 32768.0, "speedup": 183.7}}
-  ]
-}"#;
-
-    #[test]
-    fn trajectory_diffs_each_section_against_itself() {
-        let rendered = trajectory_table(FIXTURE).expect("trajectory").render();
-        // perf round 2 halves the wall time; scale/serve first rounds have
-        // no predecessor, so their delta is "-".
-        assert!(rendered.contains("-50.0%"), "{rendered}");
-        assert!(rendered.contains("scale"), "{rendered}");
-        assert!(rendered.contains("183.7"), "{rendered}");
-    }
-
-    #[test]
-    fn scale_headline_is_curve_max() {
-        let root = json::parse(FIXTURE).unwrap();
-        let rows = section_rows(&root, "scale_rounds", "scale", "macc/s", scale_headline);
-        assert_eq!(rows.len(), 1);
-        assert!((rows[0].value - 1.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn offline_renders_tables_and_chart() {
-        let out = offline(FIXTURE).expect("offline dashboard");
-        assert!(out.contains("trajectory"), "{out}");
-        assert!(out.contains("round 2"), "{out}");
-        assert!(out.contains("h50"), "{out}");
-    }
-
-    #[test]
-    fn offline_rejects_empty_documents() {
-        assert!(offline("{}").is_err());
-        assert!(offline("not json").is_err());
-    }
-
-    #[test]
-    fn committed_bench_report_drives_the_offline_dash() {
-        // The checked-in BENCH_perf.json doubles as the CI fixture for
-        // `asf-repro dash --offline`; keep it renderable.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
-        let json = std::fs::read_to_string(path).expect("committed BENCH_perf.json");
-        let out = offline(&json).expect("offline dashboard over committed report");
-        assert!(out.contains("perf"), "{out}");
-        assert!(out.contains("serve"), "{out}");
-    }
 
     #[test]
     fn bucket_quantiles_come_from_cumulative_le() {

@@ -2,7 +2,7 @@
 //!
 //! One function per paper table/figure, regenerating the same rows/series
 //! from the simulator. The `asf-repro` binary exposes them on the command
-//! line; `crates/bench` wraps them in Criterion benches.
+//! line.
 //!
 //! The heart is [`matrix::Matrix`]: the (benchmark × detector) grid of
 //! simulation runs that Figures 1, 2, 8, 9 and 10 are all read off of.
@@ -20,9 +20,7 @@ pub mod error;
 pub mod experiments;
 pub mod matrix;
 pub mod observe;
-pub mod perf;
 pub mod scale;
-pub mod section;
 pub mod serve;
 
 pub use checkpoint::Checkpoint;

@@ -8,13 +8,9 @@
 //! produce **bit-identical** `RunStats` — the sweep itself asserts this
 //! (an A/B fence run on every invocation, not only in tests).
 //!
-//! Results append a round to the `"scale_rounds"` section of
-//! `BENCH_perf.json`. The section lives *after* the perf grid's own fields
-//! and uses none of the keys the perf baseline scanner looks for
-//! (`bench`/`detector`/`cycles`/`history`), so the two reports share one
-//! file without either scanner reading the other's numbers. `asf-repro
-//! perf` rewrites the file wholesale; [`carry_scale_rounds`] re-attaches
-//! the section across that rewrite.
+//! The sweep prints its table; `--csv DIR` / `--json DIR` write it, and
+//! `--json DIR` also writes one Chrome timeline per fresh cell. Host speed
+//! of record is measured by perfbench's `huge-shard` workload, not here.
 //!
 //! Honesty note: speedup > 1 needs real host cores. On a 1-vCPU runner the
 //! worker threads time-slice one core and the curve is flat (or slightly
@@ -351,84 +347,10 @@ pub fn smoke(seed: u64) -> Result<String, HarnessError> {
     ))
 }
 
-// ---------------------------------------------------------------------------
-// The "scale_rounds" section of BENCH_perf.json. The textual-surgery
-// machinery lives in [`crate::section`] (shared with `serve_rounds`);
-// these wrappers keep the scale-specific names callers use.
-// ---------------------------------------------------------------------------
-
-use crate::section;
-
-/// The verbatim `"scale_rounds": [...]` section text, if present.
-pub fn extract_scale_rounds(json: &str) -> Option<&str> {
-    section::extract_section(json, "scale_rounds")
-}
-
-/// The 1-based number the next appended round should carry.
-pub fn next_scale_round(json: &str) -> u64 {
-    section::next_round(json, "scale_rounds")
-}
-
-/// Render one round entry (a flat-enough JSON object) for
-/// [`append_scale_round`].
-pub fn scale_round_entry(report: &ScaleReport, round: u64, git_subject: &str) -> String {
-    let mut out = format!(
-        "{{\"round\": {round}, \"preset\": \"{}\", \"sweep_seed\": {}, \
-         \"git_subject\": \"{}\", \"curve\": [",
-        report.preset,
-        report.seed,
-        section::sanitize(git_subject),
-    );
-    for (i, c) in report.cells.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        if c.resumed {
-            out.push_str(&format!(
-                "{{\"cores\": {}, \"threads\": {}, \"txns\": {}, \"resumed\": true}}",
-                c.cores, c.threads, c.txns
-            ));
-        } else {
-            out.push_str(&format!(
-                "{{\"cores\": {}, \"threads\": {}, \"txns\": {}, \"wall_ms\": {:.3}, \
-                 \"macc_per_sec\": {:.3}, \"epochs\": {}, \"stall_pct\": {:.1}, \
-                 \"cross_probes\": {}, \"cross_aborts\": {}}}",
-                c.cores,
-                c.threads,
-                c.txns,
-                c.wall.as_secs_f64() * 1e3,
-                rate(c.accesses, c.wall) / 1e6,
-                c.epochs,
-                c.stall * 100.0,
-                c.cross_probes,
-                c.cross_aborts,
-            ));
-        }
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Append one round to the `"scale_rounds"` section of a `BENCH_perf.json`
-/// document, creating the section (or, for an empty/absent file, a minimal
-/// document) as needed. The rest of the document is preserved byte-for-byte.
-pub fn append_scale_round(json: &str, entry: &str) -> String {
-    section::append_round(json, "scale_rounds", entry)
-}
-
-/// Re-attach `old_json`'s `"scale_rounds"` section to a freshly rendered
-/// perf report (`new_json`), which never emits one itself. Returns
-/// `new_json` unchanged when the old document had no section.
-pub fn carry_scale_rounds(old_json: &str, new_json: &str) -> String {
-    section::carry_section(old_json, new_json, "scale_rounds")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::{parse_baseline, parse_history, PerfCell, PerfReport};
     use asf_stats::json::parse;
-    use asf_workloads::Scale;
 
     #[test]
     fn threads_grid_is_capped_at_nproc_but_keeps_the_cross_check() {
@@ -483,87 +405,5 @@ mod tests {
         assert_eq!(again.cells[0].cycles, again.cells[1].cycles);
         assert_eq!(again.timelines.len(), 1);
         let _ = std::fs::remove_file(&path);
-    }
-
-    fn tiny_perf_json() -> String {
-        PerfReport {
-            scale: Scale::Small,
-            seed: 7,
-            cells: vec![PerfCell {
-                bench: "ssca2".into(),
-                detector: "baseline".into(),
-                wall: std::time::Duration::from_millis(4),
-                wall_min: std::time::Duration::from_millis(4),
-                accesses: 2000,
-                cycles: 10_000,
-            }],
-        }
-        .to_json()
-    }
-
-    fn tiny_scale_report() -> ScaleReport {
-        ScaleReport {
-            preset: "mix".into(),
-            seed: 9,
-            cells: vec![ScaleCell {
-                cores: 64,
-                threads: 2,
-                wall: Duration::from_millis(12),
-                accesses: 4000,
-                cycles: 50_000,
-                txns: 128,
-                epochs: 7,
-                cross_probes: 3,
-                cross_aborts: 1,
-                stall: 0.25,
-                resumed: false,
-            }],
-            timelines: vec![],
-        }
-    }
-
-    #[test]
-    fn scale_rounds_coexist_with_the_perf_scanners() {
-        let perf = tiny_perf_json();
-        let report = tiny_scale_report();
-        assert_eq!(next_scale_round(&perf), 1);
-        let one = append_scale_round(&perf, &scale_round_entry(&report, 1, "first sweep"));
-        // The perf scanners still read the perf grid, not the scale round.
-        let base = parse_baseline(&one).expect("baseline still parses");
-        assert_eq!(base.cells, vec![("ssca2".into(), "baseline".into(), 10_000)]);
-        assert!((base.total_wall_ms - 4.0).abs() < 1e-6);
-        assert_eq!(parse_history(&one), vec![]);
-        // Appending again numbers the next round and keeps both entries.
-        assert_eq!(next_scale_round(&one), 2);
-        let two = append_scale_round(&one, &scale_round_entry(&report, 2, "bad [\"chars\"]"));
-        assert_eq!(next_scale_round(&two), 3);
-        let section = extract_scale_rounds(&two).expect("section present");
-        assert!(section.contains("\"round\": 1") && section.contains("\"round\": 2"));
-        assert!(section.contains("bad ('chars')"), "brackets/quotes sanitized: {section}");
-        assert!(section.contains("\"stall_pct\": 25.0"));
-        // Balanced braces — cheap structural sanity.
-        assert_eq!(two.matches('{').count(), two.matches('}').count());
-    }
-
-    #[test]
-    fn scale_rounds_survive_a_perf_rewrite() {
-        let old = append_scale_round(&tiny_perf_json(), &scale_round_entry(&tiny_scale_report(), 1, "kept"));
-        // `asf-repro perf` renders a brand-new report (no scale_rounds)…
-        let rewritten = tiny_perf_json();
-        assert!(extract_scale_rounds(&rewritten).is_none());
-        // …and the carry re-attaches the old section verbatim.
-        let carried = carry_scale_rounds(&old, &rewritten);
-        assert_eq!(extract_scale_rounds(&carried), extract_scale_rounds(&old));
-        assert!(parse_baseline(&carried).is_some());
-        // No old section → rewrite passes through untouched.
-        assert_eq!(carry_scale_rounds(&rewritten, &rewritten), rewritten);
-    }
-
-    #[test]
-    fn append_creates_a_document_when_missing() {
-        let report = tiny_scale_report();
-        let doc = append_scale_round("", &scale_round_entry(&report, 1, "fresh"));
-        assert_eq!(next_scale_round(&doc), 2);
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
     }
 }

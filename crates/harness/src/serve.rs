@@ -5,12 +5,11 @@
 //! `POST /v1/shutdown` arrives (or, with `--smoke`, runs the CI gate:
 //! ephemeral port, one fixed-seed job submitted twice, the repeat must be
 //! a byte-identical cache hit). `loadtest` hammers a private server with
-//! in-process concurrent clients over a Zipf-skewed job mix and appends
-//! the measurement as a round of the `"serve_rounds"` section of
-//! `BENCH_perf.json` — the same append-only co-tenancy discipline as
-//! `"scale_rounds"` (see [`crate::section`]).
+//! in-process concurrent clients over a Zipf-skewed job mix and prints
+//! the measurement as one table row (`--csv DIR` / `--json DIR` write it).
+//! Serve latency of record is measured by perfbench's `serve-zipf`
+//! workload, not here.
 
-use crate::section;
 use asf_serve::loadtest::{LoadTestOpts, LoadTestReport};
 use asf_stats::table::Table;
 use asf_workloads::Scale;
@@ -88,46 +87,6 @@ pub fn loadtest_table(opts: &LoadTestOpts, report: &LoadTestReport) -> Table {
     t
 }
 
-/// Render one `serve_rounds` entry for [`append_serve_round`].
-pub fn serve_round_entry(
-    opts: &LoadTestOpts,
-    report: &LoadTestReport,
-    round: u64,
-    git_subject: &str,
-) -> String {
-    format!(
-        "{{\"round\": {round}, \"clients\": {}, \"distinct_specs\": {}, \
-         \"mix_seed\": {}, \"git_subject\": \"{}\", \"measure\": {}}}",
-        opts.clients,
-        opts.distinct_specs,
-        opts.seed,
-        section::sanitize(git_subject),
-        report.to_json(),
-    )
-}
-
-/// The verbatim `"serve_rounds": [...]` section text, if present.
-pub fn extract_serve_rounds(json: &str) -> Option<&str> {
-    section::extract_section(json, "serve_rounds")
-}
-
-/// The 1-based number the next appended round should carry.
-pub fn next_serve_round(json: &str) -> u64 {
-    section::next_round(json, "serve_rounds")
-}
-
-/// Append one round to the `"serve_rounds"` section of a `BENCH_perf.json`
-/// document (creating section/document as needed).
-pub fn append_serve_round(json: &str, entry: &str) -> String {
-    section::append_round(json, "serve_rounds", entry)
-}
-
-/// Re-attach `old_json`'s `"serve_rounds"` section to a freshly rendered
-/// perf report that lacks one.
-pub fn carry_serve_rounds(old_json: &str, new_json: &str) -> String {
-    section::carry_section(old_json, new_json, "serve_rounds")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,19 +109,6 @@ mod tests {
             hot_ns: 60_000,
             speedup: 150.0,
         }
-    }
-
-    #[test]
-    fn round_entry_is_valid_json_and_appends() {
-        let opts = loadtest_opts(128, Scale::Small, 7);
-        let entry = serve_round_entry(&opts, &fake_report(), 1, "some [bracketed] \"subject\"");
-        let doc = append_serve_round("", &entry);
-        assert!(asf_stats::json::parse(&doc).is_ok(), "{doc}");
-        assert_eq!(next_serve_round(&doc), 2);
-        let doc2 = append_serve_round(&doc, &serve_round_entry(&opts, &fake_report(), 2, "x"));
-        assert!(asf_stats::json::parse(&doc2).is_ok(), "{doc2}");
-        assert_eq!(next_serve_round(&doc2), 3);
-        assert!(doc2.contains("\"speedup\": 150.0"));
     }
 
     #[test]

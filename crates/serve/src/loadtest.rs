@@ -6,8 +6,10 @@
 //! actually sees (a handful of hot parameter points dominating a long tail
 //! of one-offs). It reports the submit-path hit rate, latency percentiles,
 //! and the hot-path speedup of a memoized repeat over a cold simulation of
-//! the same standard-scale cell — the number the `serve_rounds` section of
-//! `BENCH_perf.json` tracks across rounds.
+//! the same standard-scale cell. Percentiles are nearest-rank
+//! ([`asf_stats::nearest_rank`]), the same rank the log2 histograms use.
+//! Serve latency of record is measured by perfbench's `serve-zipf`
+//! workload.
 
 //! Clients treat transient adversity the way a real caller should:
 //! connect failures, mid-request transport errors, and 429 admission
@@ -91,9 +93,9 @@ pub struct LoadTestReport {
     pub retries: u64,
     /// `cached / requests` — the submit-path hit rate.
     pub hit_rate: f64,
-    /// Median submit round-trip, microseconds.
+    /// Median submit round-trip (nearest-rank sample), microseconds.
     pub p50_us: f64,
-    /// 99th-percentile submit round-trip, microseconds.
+    /// 99th-percentile submit round-trip (nearest-rank sample), microseconds.
     pub p99_us: f64,
     /// Median from the log2 latency histogram (bucket upper bound), µs.
     pub hist_p50_us: f64,
@@ -108,34 +110,6 @@ pub struct LoadTestReport {
     pub hot_ns: u64,
     /// `cold_ns / hot_ns` — the hot-path speedup (target: ≥ 100x).
     pub speedup: f64,
-}
-
-impl LoadTestReport {
-    /// Render the report as the `serve_rounds` entry payload.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"requests\": {}, \"cached\": {}, \"coalesced\": {}, \
-             \"queued\": {}, \"rejected\": {}, \"retries\": {}, \"hit_rate\": {:.4}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"hist_p50_us\": {:.1}, \"hist_p90_us\": {:.1}, \"hist_p99_us\": {:.1}, \
-             \"cold_ns\": {}, \"hot_ns\": {}, \"speedup\": {:.1}}}",
-            self.requests,
-            self.cached,
-            self.coalesced,
-            self.queued,
-            self.rejected,
-            self.retries,
-            self.hit_rate,
-            self.p50_us,
-            self.p99_us,
-            self.hist_p50_us,
-            self.hist_p90_us,
-            self.hist_p99_us,
-            self.cold_ns,
-            self.hot_ns,
-            self.speedup
-        )
-    }
 }
 
 /// The standard-scale cell the speedup probe measures (a fixed point so
@@ -269,13 +243,14 @@ pub fn run(opts: &LoadTestOpts) -> Result<LoadTestReport, String> {
         if latencies_ns.is_empty() {
             return 0.0;
         }
-        let idx = ((latencies_ns.len() - 1) as f64 * p).round() as usize;
-        latencies_ns[idx] as f64 / 1_000.0
+        let rank = asf_stats::nearest_rank(p, latencies_ns.len() as u64);
+        latencies_ns[rank as usize - 1] as f64 / 1_000.0
     };
     // Same samples through the allocation-free log2 histogram the server
     // uses on its hot path: the `hist_*` percentiles are what a scrape of
     // `/v1/metrics/prometheus` can derive, reported next to the exact
-    // sampled ones so the bucket-resolution error stays visible.
+    // sampled ones so the bucket-resolution error stays visible. Both take
+    // the same nearest rank, so each `hist_*` bounds its sample from above.
     let mut hist = asf_stats::Histogram::new();
     for &ns in &latencies_ns {
         hist.record(ns);

@@ -57,7 +57,7 @@ pub use fault::FaultStats;
 pub use histogram::{LineHistogram, OffsetHistogram};
 pub use json::JsonValue;
 pub use metrics::{MetricsRegistry, PhaseProfiler};
-pub use openmetrics::{AtomicHistogram, Histogram};
+pub use openmetrics::{nearest_rank, AtomicHistogram, Histogram};
 pub use run::{AbortCause, RunStats};
 pub use series::TimeSeries;
 pub use table::Table;

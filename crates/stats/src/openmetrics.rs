@@ -60,6 +60,18 @@ pub fn bucket_lower(i: usize) -> u64 {
     }
 }
 
+/// The 1-based nearest rank of the `q`-quantile among `n` sorted samples:
+/// `ceil(q·n)`, with `q` clamped to `0.0 ..= 1.0` and the rank to
+/// `1 ..= n`. Returns 0 when `n == 0`. Every quantile in the workspace
+/// (histogram, scrape-side and sampled) takes its rank from here, so a
+/// bucket bound always brackets the sampled quantile of the same data.
+pub fn nearest_rank(q: f64, n: u64) -> u64 {
+    if n == 0 {
+        return 0;
+    }
+    ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).clamp(1, n)
+}
+
 /// Fixed-bucket log2 histogram over u64 samples.
 ///
 /// Recording never allocates; merging is element-wise addition, so the
@@ -117,15 +129,15 @@ impl Histogram {
     }
 
     /// Estimate the `q`-quantile (`0.0 ..= 1.0`): the inclusive upper
-    /// bound of the bucket holding the sample of rank `ceil(q·count)`.
-    /// The true quantile lies in the same bucket, so the estimate
-    /// brackets it within one bucket width. Returns 0 when empty.
+    /// bound of the bucket holding the sample of rank
+    /// [`nearest_rank`]`(q, count)`. The true quantile lies in the same
+    /// bucket, so the estimate brackets it within one bucket width.
+    /// Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = nearest_rank(q, self.count);
         let mut cum = 0u64;
         for (i, b) in self.buckets.iter().enumerate() {
             cum += b;
@@ -556,6 +568,17 @@ mod tests {
     }
 
     #[test]
+    fn nearest_rank_is_ceil_clamped() {
+        assert_eq!(nearest_rank(0.5, 64), 32);
+        assert_eq!(nearest_rank(0.99, 64), 64);
+        assert_eq!(nearest_rank(0.0, 10), 1);
+        assert_eq!(nearest_rank(1.0, 10), 10);
+        assert_eq!(nearest_rank(2.0, 10), 10);
+        assert_eq!(nearest_rank(-1.0, 10), 1);
+        assert_eq!(nearest_rank(0.5, 0), 0);
+    }
+
+    #[test]
     fn histogram_records_and_quantiles() {
         let mut h = Histogram::new();
         for v in 1..=100u64 {
@@ -719,23 +742,23 @@ mod proptests {
             prop_assert_eq!(merged.buckets(), concat.buckets());
         }
 
-        /// The quantile estimate brackets the true quantile within one
-        /// bucket: the rank-`ceil(q·n)` order statistic lies in the same
-        /// bucket whose upper bound the estimate reports.
+        /// The quantile estimate brackets the sampled quantile within one
+        /// bucket: the sorted sample at index `nearest_rank(q, n) - 1` is
+        /// at most the estimate and lies in the bucket whose upper bound
+        /// the estimate reports.
         #[test]
         fn quantile_brackets_true_quantile_within_one_bucket(
             mut samples in prop::collection::vec(0u64..1u64 << 40, 1..300),
-            q_permille in 0u32..=1000,
+            q_ppm in 0u32..=1_000_000,
         ) {
-            let q = f64::from(q_permille) / 1000.0;
+            let q = f64::from(q_ppm) / 1e6;
             let mut h = Histogram::new();
             for &v in &samples {
                 h.record(v);
             }
             samples.sort_unstable();
-            let rank = ((q * samples.len() as f64).ceil() as usize)
-                .clamp(1, samples.len());
-            let truth = samples[rank - 1];
+            let rank = nearest_rank(q, samples.len() as u64);
+            let truth = samples[rank as usize - 1];
             let estimate = h.quantile(q);
             let i = bucket_index(truth);
             prop_assert_eq!(estimate, bucket_upper(i));

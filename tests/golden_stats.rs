@@ -361,6 +361,69 @@ fn print_golden_grid_stats() {
 }
 
 // ---------------------------------------------------------------------------
+// Seeded Standard grid: the 10 kernels × {baseline, sb8, perfect} under
+// `SimConfig::paper_seeded` with seed `0x5eed_2013`. The grid above pins
+// sb4 at the default seed; this one is the only fence on the sb8 column and
+// on a non-default seed at Standard scale. It pins (accesses, cycles), with
+// accesses = L1 hits + misses, one per line fragment of a memory operation.
+// ---------------------------------------------------------------------------
+
+const PERF_GRID_SEED: u64 = 0x5eed_2013;
+
+const PERF_GRID_DETECTORS: [DetectorKind; 3] =
+    [DetectorKind::Baseline, DetectorKind::SubBlock(8), DetectorKind::Perfect];
+
+/// Expected (accesses, cycles) per seeded Standard-scale grid cell.
+const EXPECTED_PERF_GRID: &[(&str, u64, u64)] = &[
+    ("intruder/baseline", 12120, 567325),
+    ("intruder/sb8", 11700, 602450),
+    ("intruder/perfect", 11700, 602450),
+    ("kmeans/baseline", 31261, 402468),
+    ("kmeans/sb8", 24793, 250912),
+    ("kmeans/perfect", 24292, 245185),
+    ("labyrinth/baseline", 21124, 384200),
+    ("labyrinth/sb8", 15818, 319020),
+    ("labyrinth/perfect", 14568, 287715),
+    ("ssca2/baseline", 18134, 129209),
+    ("ssca2/sb8", 15896, 88835),
+    ("ssca2/perfect", 15896, 88835),
+    ("vacation/baseline", 36485, 366403),
+    ("vacation/sb8", 30482, 272655),
+    ("vacation/perfect", 30362, 284091),
+    ("genome/baseline", 25056, 364665),
+    ("genome/sb8", 22660, 274359),
+    ("genome/perfect", 22660, 274359),
+    ("scalparc/baseline", 30018, 304670),
+    ("scalparc/sb8", 27980, 285932),
+    ("scalparc/perfect", 27572, 281373),
+    ("apriori/baseline", 60197, 397197),
+    ("apriori/sb8", 41016, 204759),
+    ("apriori/perfect", 40716, 202213),
+    ("fluidanimate/baseline", 14730, 231210),
+    ("fluidanimate/sb8", 14666, 231288),
+    ("fluidanimate/perfect", 14666, 231288),
+    ("utilitymine/baseline", 17683, 411056),
+    ("utilitymine/sb8", 17276, 408202),
+    ("utilitymine/perfect", 17276, 408202),
+];
+
+#[test]
+fn golden_stats_perf_grid() {
+    let mut got = Vec::new();
+    for w in asf_workloads::all(Scale::Standard) {
+        for det in PERF_GRID_DETECTORS {
+            let s = Machine::run(w.as_ref(), SimConfig::paper_seeded(det, PERF_GRID_SEED)).stats;
+            got.push((format!("{}/{}", w.name(), det.label()), s.l1_hits + s.l1_misses, s.cycles));
+        }
+    }
+    assert_eq!(got.len(), EXPECTED_PERF_GRID.len(), "grid cell count");
+    for ((name, acc, cyc), (ename, eacc, ecyc)) in got.iter().zip(EXPECTED_PERF_GRID) {
+        assert_eq!(name, ename, "grid cell order");
+        assert_eq!((*acc, *cyc), (*eacc, *ecyc), "{name}: (accesses, cycles) drifted");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Eviction fence: the paper geometry never evicts from L2 or L3, so no cell
 // above reaches the outer levels' victim path. A shrunken hierarchy (L1
 // 4 sets × 2 ways, L2 8 × 4, L3 16 × 4) evicts at every level and turns
